@@ -111,6 +111,10 @@ def _cmd_witness(args) -> int:
         cert = oracle_witness(g)
         if cert is None:
             raise ContractError("oracle found no clique, high odd hole, or exceptional graph")
+        verdict = verify_certificate(g, cert)
+        if not verdict:
+            print(f"reject: oracle certificate: {verdict.reason}", file=sys.stderr)
+            return EX_REJECT
         certs["oracle"] = cert
     if args.method == "both":
         agree = type(certs["proof"]) is type(certs["oracle"])
@@ -159,7 +163,12 @@ def _cmd_verify(args) -> int:
 def _cmd_sweep(args) -> int:
     jobs = args.jobs
     if jobs is None:
-        jobs = int(os.environ.get(JOBS_ENV, "1"))
+        try:
+            jobs = int(os.environ.get(JOBS_ENV, "1"))
+        except ValueError:
+            raise _UsageError(
+                f"${JOBS_ENV} must be an integer, got {os.environ[JOBS_ENV]!r}"
+            ) from None
     if jobs < 1:
         raise _UsageError(f"--jobs must be positive, got {jobs}")
     corpus = None

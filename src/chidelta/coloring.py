@@ -55,6 +55,21 @@ def is_proper(g: Graph, c: Coloring, on: Iterable[int] | None = None) -> bool:
     return True
 
 
+def _most_saturated(g: Graph, colors: list[int], verts: Iterable[int]) -> int:
+    # Uncoloured vertex of `verts` with the most distinct neighbour colours,
+    # ties to the lowest id (`verts` ascending); -1 if all are coloured.
+    best = -1
+    best_sat = -1
+    for v in verts:
+        if colors[v]:
+            continue
+        sat = len({colors[u] for u in g.neighbors(v) if colors[u]})
+        if sat > best_sat:
+            best_sat = sat
+            best = v
+    return best
+
+
 def find_k_coloring(g: Graph, k: int, on: Iterable[int] | None = None) -> Coloring | None:
     """Proper coloring of exactly the vertices in `on` with <= k colors, or None.
 
@@ -70,22 +85,10 @@ def find_k_coloring(g: Graph, k: int, on: Iterable[int] | None = None) -> Colori
             raise ValueError(f"vertex {v} out of range")
     colors = [0] * g.n
 
-    def pick() -> int:
-        best = -1
-        best_sat = -1
-        for v in verts:
-            if colors[v]:
-                continue
-            sat = len({colors[u] for u in g.neighbors(v) if colors[u]})
-            if sat > best_sat:
-                best_sat = sat
-                best = v
-        return best
-
     def solve(remaining: int, used: int) -> bool:
         if remaining == 0:
             return True
-        v = pick()
+        v = _most_saturated(g, colors, verts)
         forbidden = {colors[u] for u in g.neighbors(v)}
         for c in range(1, min(k, used + 1) + 1):
             if c in forbidden:
@@ -129,15 +132,7 @@ def _greedy_color_count(g: Graph) -> int:
     # Non-backtracking saturation-order coloring; upper bound only.
     colors = [0] * g.n
     for _ in range(g.n):
-        best = -1
-        best_sat = -1
-        for v in range(g.n):
-            if colors[v]:
-                continue
-            sat = len({colors[u] for u in g.neighbors(v) if colors[u]})
-            if sat > best_sat:
-                best_sat = sat
-                best = v
+        best = _most_saturated(g, colors, range(g.n))
         forbidden = {colors[u] for u in g.neighbors(best)}
         c = 1
         while c in forbidden:
@@ -229,23 +224,20 @@ def shortest_path_in_chain(
 def extract_vertex_critical(g: Graph) -> frozenset[int]:
     """Vertex set of a vertex-critical subgraph with the same chromatic number.
 
-    Deletes greedily in ascending vertex order, restarting the scan after
-    each deletion, until every remaining vertex is chromatically necessary.
+    One scan in ascending vertex order deletes every vertex whose removal
+    keeps the chromatic number.  One pass suffices: deleting vertices never
+    raises the chromatic number, so a vertex found necessary in a superset
+    stays necessary in every later subset, and a rescan would delete nothing.
     """
     if g.n == 0:
         raise ValueError("empty graph")
     target = chromatic_number(g)
     keep = list(range(g.n))
-    changed = True
-    while changed:
-        changed = False
-        for v in keep:
-            trial = [u for u in keep if u != v]
-            if not trial:
-                continue
-            sub, _ = induced_subgraph(g, trial)
-            if chromatic_number(sub) == target:
-                keep = trial
-                changed = True
-                break
+    for v in range(g.n):
+        trial = [u for u in keep if u != v]
+        if not trial:
+            continue
+        sub, _ = induced_subgraph(g, trial)
+        if chromatic_number(sub) == target:
+            keep = trial
     return frozenset(keep)

@@ -154,14 +154,21 @@ def generate_connected_graphs(n: int) -> Iterator[Graph]:
 # certificate serialization
 
 
+# certificate type -> (kind, field); a clique's vertex set is written sorted
+_FORMATS: dict[type, tuple[str, str]] = {
+    CliqueWitness: ("clique", "vertices"),
+    HighOddHoleWitness: ("high_odd_hole", "cycle"),
+    ExceptionalC7Complement: ("c7_complement", "positions"),
+}
+
+
 def serialize_certificate(cert: Certificate) -> str:
-    if isinstance(cert, CliqueWitness):
-        return json.dumps({"kind": "clique", "vertices": sorted(cert.vertices)})
-    if isinstance(cert, HighOddHoleWitness):
-        return json.dumps({"kind": "high_odd_hole", "cycle": list(cert.cycle)})
-    if isinstance(cert, ExceptionalC7Complement):
-        return json.dumps({"kind": "c7_complement", "positions": list(cert.positions)})
-    raise SerializationError(f"unknown certificate type {type(cert).__name__}")
+    if type(cert) not in _FORMATS:
+        raise SerializationError(f"unknown certificate type {type(cert).__name__}")
+    kind, key = _FORMATS[type(cert)]
+    value = getattr(cert, key)
+    items = sorted(value) if isinstance(value, frozenset) else list(value)
+    return json.dumps({"kind": kind, key: items})
 
 
 def _int_array(obj: object, key: str) -> list[int]:
@@ -181,17 +188,15 @@ def deserialize_certificate(text: str) -> Certificate:
     if not isinstance(obj, dict):
         raise SerializationError("certificate must be a JSON object")
     kind = obj.get("kind")
-    if kind == "clique":
-        return CliqueWitness(frozenset(_int_array(obj, "vertices")))
-    if kind == "high_odd_hole":
-        return HighOddHoleWitness(tuple(_int_array(obj, "cycle")))
-    if kind == "c7_complement":
-        return ExceptionalC7Complement(tuple(_int_array(obj, "positions")))
+    for cls, (name, key) in _FORMATS.items():
+        if kind == name:
+            values = _int_array(obj, key)
+            return cls(frozenset(values) if cls is CliqueWitness else tuple(values))
     raise SerializationError(f"unknown certificate kind {kind!r}")
 
 
 def _kind(cert: Certificate) -> str:
-    return json.loads(serialize_certificate(cert))["kind"]
+    return _FORMATS[type(cert)][0]
 
 
 # ---------------------------------------------------------------------------
@@ -406,6 +411,7 @@ def theorem_sweep(
             report.orders.append(tally)
     finally:
         if pool is not None:
-            pool.close()
+            # Tasks still queued after a failure are dropped, not drained.
+            pool.terminate()
             pool.join()
     return report

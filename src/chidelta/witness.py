@@ -24,7 +24,7 @@ from .coloring import (
     kempe_chain,
     shortest_path_in_chain,
 )
-from .graph import Graph, induced_subgraph, is_connected, max_degree, min_degree
+from .graph import Graph, cycle_power, induced_subgraph, is_connected, max_degree, min_degree
 from .oracle import (
     Certificate,
     CliqueWitness,
@@ -345,21 +345,27 @@ def path_quad(g: Graph, split: NeighborhoodSplit) -> PathQuad | Inconsistent:
     return PathQuad(a1, b1, b2, a2)
 
 
-def _quad_at(
-    g: Graph, v: int
-) -> PathQuad | Certificate | Inconsistent:
-    split = neighborhood_split(g, v)
-    if isinstance(split, Inconsistent):
-        # The tracer also serves instances whose chromatic number is below the
-        # degree, where probe colorings are unusable; structure decides there.
-        split = _structural_split(g, v)
-    if not isinstance(split, NeighborhoodSplit):
-        return split
-    for a in split.a:
-        res = split_attachment_check(g, split, a)
-        if not isinstance(res, int):
-            return res
-    return path_quad(g, split)
+def _quads(g: Graph) -> dict[int, PathQuad] | Certificate | Inconsistent:
+    # The path quad at every vertex, in vertex order: split, both attachment
+    # checks, then the quad.  The first certificate or Inconsistent ends it.
+    quads: dict[int, PathQuad] = {}
+    for v in range(g.n):
+        split = neighborhood_split(g, v)
+        if isinstance(split, Inconsistent):
+            # The trace also serves instances whose chromatic number is below
+            # the degree, where probe colorings are unusable; structure decides.
+            split = _structural_split(g, v)
+        if not isinstance(split, NeighborhoodSplit):
+            return split
+        for a in split.a:
+            res = split_attachment_check(g, split, a)
+            if not isinstance(res, int):
+                return res
+        quad = path_quad(g, split)
+        if isinstance(quad, Inconsistent):
+            return quad
+        quads[v] = quad
+    return quads
 
 
 def trace_squared_cycle(
@@ -367,29 +373,29 @@ def trace_squared_cycle(
 ) -> SquaredCycleLabeling | Certificate | Inconsistent:
     """Label a 4-regular graph as the square of a cycle, or fail trying.
 
-    Seeds positions ..a2, b2, v, b1, a1.. from the 4-path around vertex 0,
-    then repeatedly takes the quad at the newest A-endpoint: its known end
-    must match the two previously placed vertices, and the other end places
-    two more vertices.  Any probe may short-circuit with a certificate.  On
-    completion the labeling is verified: adjacency iff cyclic position
-    distance is 1 or 2.
+    First computes the path quad at every vertex, in vertex order; the first
+    certificate or inconsistency met on the way is returned.  Then seeds
+    positions ..a2, b2, 0, b1, a1.. from the quad at vertex 0 and walks the
+    quads: the quad at the newest A-endpoint must match the two previously
+    placed vertices at its known end, and its other end places two more.  On
+    completion every vertex's neighbourhood must be that of its position in
+    the square of the n-cycle.
     """
     if g.n == 0 or not is_connected(g):
         raise ContractError("graph must be connected and nonempty")
     if max_degree(g) != 4 or min_degree(g) != 4:
         raise ContractError("graph is not 4-regular")
     n = g.n
-    quad = _quad_at(g, 0)
-    if not isinstance(quad, PathQuad):
-        return quad
+    quads = _quads(g)
+    if not isinstance(quads, dict):
+        return quads
+    quad = quads[0]
     position = {quad.a2: (n - 2) % n, quad.b2: (n - 1) % n, 0: 0, quad.b1: 1, quad.a1: 2}
     if len(position) != 5:
         return Inconsistent("seed quad vertices are not distinct")
     prev2, prev1, frontier, q = 0, quad.b1, quad.a1, 2
     while len(position) < n:
-        step = _quad_at(g, frontier)
-        if not isinstance(step, PathQuad):
-            return step
+        step = quads[frontier]
         if step.a1 == prev2 and step.b1 == prev1:
             nxt1, nxt2 = step.b2, step.a2
         elif step.a2 == prev2 and step.b2 == prev1:
@@ -409,18 +415,15 @@ def trace_squared_cycle(
         prev2, prev1, frontier, q = frontier, nxt1, nxt2, q + 2
         if q > 2 * n:
             return Inconsistent("tracing ran past the cycle without closing")
-    placed = tuple(position[v] for v in range(n))
-    if sorted(placed) != list(range(n)):
+    labeling = SquaredCycleLabeling(n, tuple(position[v] for v in range(n)))
+    if sorted(labeling.position) != list(range(n)):
         return Inconsistent("position labeling is not a bijection")
-    for u in range(n):
-        for w in range(u + 1, n):
-            d = abs(placed[u] - placed[w])
-            d = min(d, n - d)
-            if g.has_edge(u, w) != (d in (1, 2)):
-                return Inconsistent(
-                    f"adjacency between {u} and {w} disagrees with position distance {d}"
-                )
-    return SquaredCycleLabeling(n, placed)
+    vertex_at = labeling.vertex_at()
+    square = cycle_power(n, 2)
+    for u, p in enumerate(labeling.position):
+        if g.adjacency_mask(u) != _mask(vertex_at[w] for w in square.neighbors(p)):
+            return Inconsistent(f"neighbours of {u} disagree with its position {p}")
+    return labeling
 
 
 def squared_cycle_hole(n: int) -> tuple[int, ...]:
@@ -532,9 +535,12 @@ def find_witness(g: Graph) -> Certificate:
     odd cycle, and triangle-free rules out length 3).  For degree >= 4 the
     search moves to a vertex-critical subgraph: if its maximum degree drops
     it must be complete; otherwise vertices of deficient degree are probed
-    directly, and a regular critical subgraph (necessarily the whole graph)
-    gets the full neighbourhood-split sweep, finishing with the squared-cycle
-    endgame when the sweep stays silent.
+    directly.  A regular critical subgraph (necessarily the whole graph) gets
+    the path quad at every vertex, in vertex order: neighbourhood split, both
+    attachment checks and the quad, where the first certificate wins.  At
+    degree 4 that sweep is the first half of `trace_squared_cycle`, whose
+    labeling then yields the explicit hole (or the complement of C7); at
+    degree >= 5 a silent sweep falls back to the brute-force oracle.
     """
     if g.n == 0:
         raise ContractError("empty graph")
@@ -580,22 +586,12 @@ def find_witness(g: Graph) -> Certificate:
         raise ContractError(
             "regular critical subgraph must span the whole connected graph"
         )
-    for v in range(g.n):
-        out = neighborhood_split(g, v)
-        if isinstance(out, Inconsistent):
-            raise ContractError(f"split at {v}: {out.reason}")
-        if not isinstance(out, NeighborhoodSplit):
-            return _ensure_verified(g, out, "find_witness")
-        for a in out.a:
-            res = split_attachment_check(g, out, a)
-            if isinstance(res, Inconsistent):
-                raise ContractError(f"attachment check at {v}/{a}: {res.reason}")
-            if not isinstance(res, int):
-                return _ensure_verified(g, res, "find_witness")
-        pq = path_quad(g, out)
-        if isinstance(pq, Inconsistent):
-            raise ContractError(f"path quad at {v}: {pq.reason}")
     if delta >= 5:
+        quads = _quads(g)
+        if isinstance(quads, Inconsistent):
+            raise ContractError(f"quad sweep: {quads.reason}")
+        if not isinstance(quads, dict):
+            return _ensure_verified(g, quads, "find_witness")
         log.warning(
             "probe sweep finished without a certificate at max degree %d; "
             "falling back to the brute-force oracle",

@@ -1,9 +1,11 @@
 import io
 import json
 
+import pytest
+
 from chidelta.cli import EX_CONTRACT, EX_IOERR, EX_OK, EX_REJECT, EX_USAGE, cli_dispatch
 from chidelta.graph import cycle_power, encode_graph6
-from chidelta.oracle import HighOddHoleWitness
+from chidelta.oracle import CliqueWitness, HighOddHoleWitness
 from chidelta.sweep import serialize_certificate
 
 from conftest import c7_complement
@@ -55,6 +57,16 @@ def test_witness_both_agreement(capsys):
     obj = json.loads(out)
     assert obj["kinds_agree"] is True
     assert obj["proof"]["kind"] == obj["oracle"]["kind"] == "high_odd_hole"
+
+
+@pytest.mark.parametrize("method", ["oracle", "both"])
+def test_witness_rejects_bogus_oracle_certificate(capsys, monkeypatch, method):
+    monkeypatch.setattr(
+        "chidelta.cli.oracle_witness", lambda g: CliqueWitness(frozenset(range(g.n)))
+    )
+    code, out, err = run(capsys, "witness", "--graph", C7C_LINE, "--method", method)
+    assert code == EX_REJECT
+    assert "reject: oracle certificate" in err and "clique" not in out
 
 
 def test_witness_reads_stdin(capsys, monkeypatch):
@@ -136,6 +148,12 @@ def test_sweep_respects_jobs_env(capsys, monkeypatch):
     monkeypatch.setenv("CHIDELTA_JOBS", "2")
     code, out, _ = run(capsys, "sweep", "--max-n", "4")
     assert code == EX_OK and "jobs=2" in out
+
+
+def test_sweep_rejects_non_integer_jobs_env(capsys, monkeypatch):
+    monkeypatch.setenv("CHIDELTA_JOBS", "abc")
+    code, _, err = run(capsys, "sweep", "--max-n", "3")
+    assert code == EX_USAGE and "CHIDELTA_JOBS" in err
 
 
 def test_sweep_corpus_option(capsys, tmp_path):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import chidelta.coloring as coloring_mod
 from chidelta.coloring import (
     Coloring,
     chromatic_number,
@@ -200,6 +201,47 @@ def test_shortest_path_lowest_id_tiebreak():
 def test_extract_critical_k4_plus_pendant():
     g = graph_from_edges(5, [(i, j) for i in range(4) for j in range(i + 1, 4)] + [(3, 4)])
     assert extract_vertex_critical(g) == {0, 1, 2, 3}
+
+
+def test_extract_critical_single_scan(monkeypatch):
+    # one chromatic number for the whole graph plus one per vertex, no rescans
+    g = graph_from_edges(5, [(i, j) for i in range(4) for j in range(i + 1, 4)] + [(3, 4)])
+    calls = []
+    original = coloring_mod.chromatic_number
+
+    def counting(h):
+        calls.append(h.n)
+        return original(h)
+
+    monkeypatch.setattr(coloring_mod, "chromatic_number", counting)
+    assert extract_vertex_critical(g) == {0, 1, 2, 3}
+    assert len(calls) <= g.n + 1
+
+
+def _restart_scan_critical(g):
+    # reference: delete the lowest deletable vertex, then rescan from the start
+    target = chromatic_number(g)
+    keep = list(range(g.n))
+    changed = True
+    while changed:
+        changed = False
+        for v in keep:
+            trial = [u for u in keep if u != v]
+            if not trial:
+                continue
+            sub, _ = induced_subgraph(g, trial)
+            if chromatic_number(sub) == target:
+                keep = trial
+                changed = True
+                break
+    return frozenset(keep)
+
+
+def test_extract_critical_matches_restart_scan():
+    rng = random.Random(2024)
+    for _ in range(80):
+        g = random_graph(rng, rng.randint(1, 9), rng.choice([0.3, 0.5, 0.7]))
+        assert extract_vertex_critical(g) == _restart_scan_critical(g)
 
 
 def test_extract_critical_c5():

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import multiprocessing.pool
 
 import networkx as nx
 import pytest
@@ -231,6 +232,23 @@ def test_sweep_aborts_on_bogus_certificate(monkeypatch):
     with pytest.raises(SweepError) as err:
         theorem_sweep(4, "oracle")
     assert decode_graph6(err.value.line).n <= 4
+
+
+def test_sweep_failure_terminates_pool(monkeypatch):
+    # the header survives decoding but not the worker's round-trip check
+    line = ">>graph6<<" + encode_graph6(graph_from_edges(3, [(0, 1), (1, 2)]))
+    terminated = []
+    original = multiprocessing.pool.Pool.terminate
+
+    def spy(pool):
+        terminated.append(pool)
+        original(pool)
+
+    monkeypatch.setattr(multiprocessing.pool.Pool, "terminate", spy)
+    with pytest.raises(SweepError) as err:
+        theorem_sweep(3, "both", min_n=3, jobs=2, corpus=[line])
+    assert err.value.line == line and "round trip" in err.value.detail
+    assert len(terminated) == 1
 
 
 def test_sweep_rejects_bad_parameters():

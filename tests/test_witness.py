@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+import chidelta.witness as witness_mod
 from chidelta.coloring import Coloring, chromatic_number, is_proper
 from chidelta.graph import (
     cycle_power,
@@ -212,6 +213,22 @@ def test_trace_labels_squared_cycles(n):
             d = abs(pos[u] - pos[w])
             d = min(d, n - d)
             assert g.has_edge(u, w) == (d in (1, 2))
+
+
+@pytest.mark.parametrize("n", [16, 40])
+def test_find_witness_splits_each_vertex_once(monkeypatch, n):
+    # the regular sweep and the squared-cycle trace share one quad per vertex
+    calls = []
+    original = witness_mod.neighborhood_split
+
+    def counting(g, v):
+        calls.append(v)
+        return original(g, v)
+
+    monkeypatch.setattr(witness_mod, "neighborhood_split", counting)
+    g = cycle_power(n, 2)
+    assert isinstance(find_witness(g), HighOddHoleWitness)
+    assert calls == list(range(n))
 
 
 def test_trace_on_c7_complement():

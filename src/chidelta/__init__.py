@@ -28,11 +28,18 @@ from .coloring import (
     kempe_swap,
     shortest_path_in_chain,
 )
-from .oracle import (
+from .certificate import (
     Certificate,
     CliqueWitness,
     ExceptionalC7Complement,
     HighOddHoleWitness,
+    SerializationError,
+    certificate_kind,
+    certificate_text,
+    deserialize_certificate,
+    serialize_certificate,
+)
+from .oracle import (
     Verdict,
     find_clique,
     find_high_odd_hole,
@@ -64,12 +71,9 @@ from .witness import (
 )
 from .sweep import (
     OrderTally,
-    SerializationError,
     SweepError,
     SweepReport,
-    deserialize_certificate,
     generate_connected_graphs,
-    serialize_certificate,
     theorem_sweep,
 )
 

@@ -12,23 +12,17 @@ import json
 import os
 import sys
 
-from .coloring import chromatic_number
-from .graph import GraphError, cycle_power, decode_graph6, encode_graph6, max_degree
-from .oracle import (
+from .certificate import (
     Certificate,
-    CliqueWitness,
-    ExceptionalC7Complement,
-    HighOddHoleWitness,
-    oracle_witness,
-    verify_certificate,
-)
-from .sweep import (
     SerializationError,
-    SweepError,
+    certificate_text,
     deserialize_certificate,
     serialize_certificate,
-    theorem_sweep,
 )
+from .coloring import chromatic_number
+from .graph import GraphError, cycle_power, decode_graph6, encode_graph6, max_degree
+from .oracle import oracle_witness, verify_certificate
+from .sweep import SweepError, theorem_sweep
 from .witness import ContractError, find_witness
 
 EX_OK = 0
@@ -88,20 +82,6 @@ def _read_graph(arg: str) -> str:
     return arg
 
 
-def _cert_text(cert: Certificate) -> str:
-    if isinstance(cert, CliqueWitness):
-        return "kind: clique\nvertices: " + " ".join(map(str, sorted(cert.vertices)))
-    if isinstance(cert, HighOddHoleWitness):
-        return "kind: high_odd_hole\ncycle: " + " ".join(map(str, cert.cycle))
-    if isinstance(cert, ExceptionalC7Complement):
-        return (
-            "kind: c7_complement\npositions: "
-            + " ".join(map(str, cert.positions))
-            + "\nnote: unique exceptional graph (complement of the 7-cycle)"
-        )
-    raise ValueError(f"unknown certificate {cert!r}")
-
-
 def _cmd_witness(args) -> int:
     g = decode_graph6(_read_graph(args.graph))
     certs: dict[str, Certificate] = {}
@@ -125,12 +105,12 @@ def _cmd_witness(args) -> int:
                 "kinds_agree": agree,
             }))
         else:
-            print("[proof]\n" + _cert_text(certs["proof"]))
-            print("[oracle]\n" + _cert_text(certs["oracle"]))
+            print("[proof]\n" + certificate_text(certs["proof"]))
+            print("[oracle]\n" + certificate_text(certs["oracle"]))
             print(f"kinds agree: {'yes' if agree else 'no'}")
     else:
         cert = certs[args.method]
-        print(serialize_certificate(cert) if args.format == "json" else _cert_text(cert))
+        print(serialize_certificate(cert) if args.format == "json" else certificate_text(cert))
     return EX_OK
 
 

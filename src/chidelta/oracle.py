@@ -3,46 +3,20 @@
 Everything here is exhaustive search over small graphs: backtracking clique
 search with bitmask intersection pruning, anchored chordless-cycle
 enumeration for high odd holes, and direct structural recognition of the
-7-vertex exceptional graph.  `verify_certificate` re-checks any certificate
-from first principles and is the ground truth the rest of the system is
-validated against.
+7-vertex exceptional graph.  `verify_certificate` checks any certificate
+(the types live in `certificate`) from first principles and is the ground
+truth the rest of the system is validated against: `find_witness` calls it
+once on its own result, and the sweep and the CLI call it on every oracle
+certificate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Iterator
 
+from .certificate import Certificate, CliqueWitness, ExceptionalC7Complement, HighOddHoleWitness
 from .graph import Graph, complement, max_degree
-
-
-@dataclass(frozen=True)
-class CliqueWitness:
-    """A clique whose size equals the maximum degree of the host graph."""
-
-    vertices: frozenset[int]
-
-
-@dataclass(frozen=True)
-class HighOddHoleWitness:
-    """A chordless odd cycle (length >= 5) whose vertices all have degree >= max degree - 1."""
-
-    cycle: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class ExceptionalC7Complement:
-    """Identification of the complement of the 7-cycle.
-
-    positions[v] is the place of vertex v along the complement-defining
-    7-cycle; adjacency in the host graph holds iff the cyclic position
-    distance is 2 or 3.
-    """
-
-    positions: tuple[int, ...]
-
-
-Certificate = Union[CliqueWitness, HighOddHoleWitness, ExceptionalC7Complement]
 
 
 @dataclass(frozen=True)

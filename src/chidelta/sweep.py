@@ -1,4 +1,4 @@
-"""Connected-graph enumeration, the exhaustive theorem sweep, and certificate JSON.
+"""Connected-graph enumeration and the exhaustive theorem sweep.
 
 Generation grows graphs one vertex at a time: every connected graph arises
 from a connected graph one vertex smaller by attaching the new vertex to a
@@ -17,23 +17,14 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Iterator
 
+# deserialize_certificate is re-exported: bench/run.py imports it from here.
+from .certificate import certificate_kind, deserialize_certificate  # noqa: F401
 from .coloring import chromatic_number
-from .graph import Graph, decode_graph6, encode_graph6, max_degree
-from .oracle import (
-    Certificate,
-    CliqueWitness,
-    ExceptionalC7Complement,
-    HighOddHoleWitness,
-    oracle_witness,
-    verify_certificate,
-)
+from .graph import Graph, GraphError, decode_graph6, encode_graph6, max_degree
+from .oracle import oracle_witness, verify_certificate
 from .witness import ContractError, find_witness
 
 GENERATION_CAP = 9
-
-
-class SerializationError(ValueError):
-    """Malformed certificate text."""
 
 
 class SweepError(RuntimeError):
@@ -148,55 +139,6 @@ def generate_connected_graphs(n: int) -> Iterator[Graph]:
         raise ValueError(f"order {n} outside supported range 1..{GENERATION_CAP}")
     for adj in _connected_level(n):
         yield Graph(n, adj)
-
-
-# ---------------------------------------------------------------------------
-# certificate serialization
-
-
-# certificate type -> (kind, field); a clique's vertex set is written sorted
-_FORMATS: dict[type, tuple[str, str]] = {
-    CliqueWitness: ("clique", "vertices"),
-    HighOddHoleWitness: ("high_odd_hole", "cycle"),
-    ExceptionalC7Complement: ("c7_complement", "positions"),
-}
-
-
-def serialize_certificate(cert: Certificate) -> str:
-    if type(cert) not in _FORMATS:
-        raise SerializationError(f"unknown certificate type {type(cert).__name__}")
-    kind, key = _FORMATS[type(cert)]
-    value = getattr(cert, key)
-    items = sorted(value) if isinstance(value, frozenset) else list(value)
-    return json.dumps({"kind": kind, key: items})
-
-
-def _int_array(obj: object, key: str) -> list[int]:
-    value = obj.get(key) if isinstance(obj, dict) else None
-    if not isinstance(value, list) or not all(
-        isinstance(x, int) and not isinstance(x, bool) for x in value
-    ):
-        raise SerializationError(f"field {key!r} must be an array of integers")
-    return value
-
-
-def deserialize_certificate(text: str) -> Certificate:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SerializationError(f"invalid JSON: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise SerializationError("certificate must be a JSON object")
-    kind = obj.get("kind")
-    for cls, (name, key) in _FORMATS.items():
-        if kind == name:
-            values = _int_array(obj, key)
-            return cls(frozenset(values) if cls is CliqueWitness else tuple(values))
-    raise SerializationError(f"unknown certificate kind {kind!r}")
-
-
-def _kind(cert: Certificate) -> str:
-    return _FORMATS[type(cert)][0]
 
 
 # ---------------------------------------------------------------------------
@@ -324,19 +266,14 @@ def _sweep_task(args: tuple[str, str]) -> dict:
         if encode_graph6(g) != line:
             rec["error"] = "graph6 round trip mismatch"
             return rec
-        rec["n"] = g.n
         if g.n == 0:
             return rec
         if chromatic_number(g) != max_degree(g):
             return rec
         rec["cohort"] = True
         if method in ("proof", "both"):
-            cert = find_witness(g)
-            verdict = verify_certificate(g, cert)
-            if not verdict:
-                rec["error"] = f"proof certificate rejected: {verdict.reason}"
-                return rec
-            rec["proof_kind"] = _kind(cert)
+            # find_witness verifies its own certificate and raises ContractError
+            rec["proof_kind"] = certificate_kind(find_witness(g))
         if method in ("oracle", "both"):
             cert = oracle_witness(g)
             if cert is None:
@@ -346,20 +283,36 @@ def _sweep_task(args: tuple[str, str]) -> dict:
             if not verdict:
                 rec["error"] = f"oracle certificate rejected: {verdict.reason}"
                 return rec
-            rec["oracle_kind"] = _kind(cert)
+            rec["oracle_kind"] = certificate_kind(cert)
     except ContractError as exc:
         rec["error"] = f"contract error: {exc}"
     return rec
 
 
-def _tasks_for_order(n: int, method: str, corpus: list[str] | None) -> Iterator[tuple[str, str]]:
+def _corpus_by_order(corpus: Iterable[str]) -> dict[int, list[str]]:
+    """Stripped nonblank corpus lines by graph order, in file order within each order."""
+    by_order: dict[int, list[str]] = {}
+    for number, raw in enumerate(corpus, 1):
+        line = raw.strip()
+        if not line:
+            continue
+        try:
+            n = decode_graph6(line).n
+        except GraphError as exc:
+            raise GraphError(f"corpus line {number} {line!r}: {exc}") from exc
+        by_order.setdefault(n, []).append(line)
+    return by_order
+
+
+def _tasks_for_order(
+    n: int, method: str, corpus: dict[int, list[str]] | None
+) -> Iterator[tuple[str, str]]:
     if corpus is None:
         for g in generate_connected_graphs(n):
             yield encode_graph6(g), method
     else:
-        for line in corpus:
-            if decode_graph6(line).n == n:
-                yield line, method
+        for line in corpus.get(n, ()):
+            yield line, method
 
 
 def theorem_sweep(
@@ -370,25 +323,27 @@ def theorem_sweep(
     corpus: Iterable[str] | None = None,
 ) -> SweepReport:
     """Run the selected witness method(s) over every connected graph with
-    chromatic number equal to maximum degree, verifying each certificate.
+    chromatic number equal to maximum degree, verifying each certificate
+    once: `find_witness` checks its own, the sweep checks the oracle's.
 
     Per-graph work is independent; with jobs > 1 a process pool is used and
     results are merged in generation order, so the report is identical for
     any worker count.  The first verification failure aborts with the
-    offending graph6 line.
+    offending graph6 line.  A corpus is decoded once up front; a malformed
+    line raises GraphError naming its line number.
     """
     if method not in ("proof", "oracle", "both"):
         raise ValueError(f"unknown method {method!r}")
     if corpus is None and not 1 <= min_n <= max_n <= GENERATION_CAP:
         raise ValueError(f"order range {min_n}..{max_n} outside 1..{GENERATION_CAP}")
-    corpus_lines = [line.strip() for line in corpus if line.strip()] if corpus is not None else None
-    report = SweepReport(min_n, max_n, method, jobs, corpus_lines is None)
+    by_order = _corpus_by_order(corpus) if corpus is not None else None
+    report = SweepReport(min_n, max_n, method, jobs, by_order is None)
     pool = multiprocessing.Pool(jobs) if jobs > 1 else None
     try:
         for n in range(min_n, max_n + 1):
             tally = OrderTally(n)
             started = time.perf_counter()
-            tasks = _tasks_for_order(n, method, corpus_lines)
+            tasks = _tasks_for_order(n, method, by_order)
             results = pool.imap(_sweep_task, tasks, chunksize=32) if pool else map(_sweep_task, tasks)
             for rec in results:
                 tally.graphs += 1

@@ -16,6 +16,7 @@ import logging
 from dataclasses import dataclass
 from typing import Union
 
+from .certificate import Certificate, CliqueWitness, ExceptionalC7Complement, HighOddHoleWitness
 from .coloring import (
     Coloring,
     chromatic_number,
@@ -25,17 +26,7 @@ from .coloring import (
     shortest_path_in_chain,
 )
 from .graph import Graph, cycle_power, induced_subgraph, is_connected, max_degree, min_degree
-from .oracle import (
-    Certificate,
-    CliqueWitness,
-    ExceptionalC7Complement,
-    HighOddHoleWitness,
-    find_clique,
-    is_c7_complement,
-    odd_holes,
-    oracle_witness,
-    verify_certificate,
-)
+from .oracle import find_clique, is_c7_complement, odd_holes, oracle_witness, verify_certificate
 
 log = logging.getLogger(__name__)
 
@@ -54,7 +45,7 @@ class Adjacent:
 
 @dataclass(frozen=True)
 class Hole:
-    """Probe outcome: a verified high-odd-hole certificate was closed."""
+    """Probe outcome: a high-odd-hole certificate was closed (unverified, as built)."""
 
     certificate: HighOddHoleWitness
 
@@ -123,13 +114,6 @@ class ConflictReport:
     forced: tuple[int, ...]
 
 
-def _ensure_verified(g: Graph, cert: Certificate, context: str) -> Certificate:
-    verdict = verify_certificate(g, cert)
-    if not verdict:
-        raise ContractError(f"{context}: certificate failed verification: {verdict.reason}")
-    return cert
-
-
 def kempe_adjacency_probe(
     h: Graph, x: int, y: int, z: int, phi: Coloring
 ) -> ProbeOutcome:
@@ -142,8 +126,7 @@ def kempe_adjacency_probe(
     the shortest alternating path from y to z closes through x into a cycle
     that is odd (the path ends in different colours, so it has evenly many
     vertices) and chordless (a chord would shortcut the shortest path, and x
-    has no other neighbour coloured phi(y) or phi(z)).  The cycle is
-    re-verified before being returned.
+    has no other neighbour coloured phi(y) or phi(z)).
     """
     uncolored = [v for v in range(h.n) if not phi.is_colored(v)]
     if uncolored != [x]:
@@ -166,9 +149,7 @@ def kempe_adjacency_probe(
             f"swap on the ({cy},{cz})-component of {y} would extend the coloring to {x}"
         )
     path = shortest_path_in_chain(h, chain, y, {z})
-    cert = HighOddHoleWitness(tuple(path) + (x,))
-    _ensure_verified(h, cert, "kempe_adjacency_probe")
-    return Hole(cert)
+    return Hole(HighOddHoleWitness(tuple(path) + (x,)))
 
 
 def degree_deficient_probe(h: Graph, v: int) -> Certificate:
@@ -178,7 +159,7 @@ def degree_deficient_probe(h: Graph, v: int) -> Certificate:
     extend to v, the neighbours of v carry all colours exactly once, so every
     neighbour pair qualifies for the adjacency probe.  The first hole wins;
     if all pairs are adjacent, the closed neighbourhood is a clique of size
-    max_degree(h).
+    max_degree(h).  The certificate is returned unverified.
     """
     delta = max_degree(h)
     if h.degree(v) != delta - 1:
@@ -201,8 +182,7 @@ def degree_deficient_probe(h: Graph, v: int) -> Certificate:
                 return outcome.certificate
             if isinstance(outcome, Inconsistent):
                 raise ContractError(f"probe at ({y},{z}) around {v}: {outcome.reason}")
-    cert = CliqueWitness(frozenset(nbrs) | {v})
-    return _ensure_verified(h, cert, "degree_deficient_probe")
+    return CliqueWitness(frozenset(nbrs) | {v})
 
 
 def _structural_split(g: Graph, v: int) -> NeighborhoodSplit | Inconsistent:
@@ -278,9 +258,7 @@ def neighborhood_split(
                 f"component of {b} misses both of {a_pair}; the coloring extends"
             )
         if len(path) > 2:
-            cert = HighOddHoleWitness(tuple(path) + (v,))
-            _ensure_verified(g, cert, "neighborhood_split")
-            return cert
+            return HighOddHoleWitness(tuple(path) + (v,))
     return NeighborhoodSplit(v, (a_pair[0], a_pair[1]), frozenset(b_set))
 
 
@@ -289,17 +267,17 @@ def split_attachment_check(
 ) -> int | Certificate | Inconsistent:
     """Count how many B-vertices the A-vertex `a` is attached to.
 
-    Full attachment closes a clique of size max_degree on B + {a, center};
-    the only other value a valid instance allows is |B| - 1, returned as the
-    count.  Anything else means an earlier probe should have fired.
+    Full attachment closes a clique of size max_degree on B + {a, center},
+    returned unverified; the only other value a valid instance allows is
+    |B| - 1, returned as the count.  Anything else means an earlier probe
+    should have fired.
     """
     if a not in split.a:
         raise ContractError(f"vertex {a} is not in the split's A pair")
     count = (g.adjacency_mask(a) & _mask(split.b)).bit_count()
     delta = max_degree(g)
     if count == delta - 2:
-        cert = CliqueWitness(split.b | {a, split.center})
-        return _ensure_verified(g, cert, "split_attachment_check")
+        return CliqueWitness(split.b | {a, split.center})
     if count == delta - 3:
         return count
     return Inconsistent(
@@ -541,7 +519,19 @@ def find_witness(g: Graph) -> Certificate:
     degree 4 that sweep is the first half of `trace_squared_cycle`, whose
     labeling then yields the explicit hole (or the complement of C7); at
     degree >= 5 a silent sweep falls back to the brute-force oracle.
+
+    The proof route's one check: the certificate is verified against g before
+    it is returned, and a rejection raises ContractError.
     """
+    cert = _derive_witness(g)
+    verdict = verify_certificate(g, cert)
+    if not verdict:
+        raise ContractError(f"find_witness: certificate failed verification: {verdict.reason}")
+    return cert
+
+
+def _derive_witness(g: Graph) -> Certificate:
+    # The dispatch described in find_witness; the certificate is unverified.
     if g.n == 0:
         raise ContractError("empty graph")
     if not is_connected(g):
@@ -553,16 +543,15 @@ def find_witness(g: Graph) -> Certificate:
     if delta <= 1:
         raise ContractError(f"degenerate instance with max degree {delta}")
     if delta == 2:
-        cert = CliqueWitness(find_clique(g, 2))
-        return _ensure_verified(g, cert, "find_witness")
+        return CliqueWitness(find_clique(g, 2))
     if delta == 3:
         triangle = find_clique(g, 3)
         if triangle is not None:
-            return _ensure_verified(g, CliqueWitness(triangle), "find_witness")
+            return CliqueWitness(triangle)
         cycle = _shortest_odd_hole(g)
         if cycle is None:
             raise ContractError("triangle-free 3-chromatic graph has no odd cycle")
-        return _ensure_verified(g, HighOddHoleWitness(cycle), "find_witness")
+        return HighOddHoleWitness(cycle)
 
     keep = sorted(extract_vertex_critical(g))
     sub, _ = induced_subgraph(g, keep)
@@ -573,15 +562,14 @@ def find_witness(g: Graph) -> Certificate:
             raise ContractError(
                 "critical subgraph with reduced maximum degree is not complete"
             )
-        return _ensure_verified(g, CliqueWitness(frozenset(keep)), "find_witness")
+        return CliqueWitness(frozenset(keep))
     if sub_delta != delta:
         raise ContractError(
             f"critical subgraph has maximum degree {sub_delta}, expected {delta} or {delta - 1}"
         )
     deficient = [v for v in range(sub.n) if sub.degree(v) == delta - 1]
     if deficient:
-        cert = degree_deficient_probe(sub, deficient[0])
-        return _ensure_verified(g, _lift(cert, keep), "find_witness")
+        return _lift(degree_deficient_probe(sub, deficient[0]), keep)
     if sub.n != g.n:
         raise ContractError(
             "regular critical subgraph must span the whole connected graph"
@@ -591,7 +579,7 @@ def find_witness(g: Graph) -> Certificate:
         if isinstance(quads, Inconsistent):
             raise ContractError(f"quad sweep: {quads.reason}")
         if not isinstance(quads, dict):
-            return _ensure_verified(g, quads, "find_witness")
+            return quads
         log.warning(
             "probe sweep finished without a certificate at max degree %d; "
             "falling back to the brute-force oracle",
@@ -600,20 +588,20 @@ def find_witness(g: Graph) -> Certificate:
         cert = oracle_witness(g)
         if cert is None:
             raise ContractError("oracle found no certificate after a silent sweep")
-        return _ensure_verified(g, cert, "find_witness")
+        return cert
     traced = trace_squared_cycle(g)
     if isinstance(traced, Inconsistent):
         raise ContractError(f"squared-cycle trace: {traced.reason}")
     if not isinstance(traced, SquaredCycleLabeling):
-        return _ensure_verified(g, traced, "find_witness")
+        return traced
     m = traced.n
     if m == 7:
         positions = is_c7_complement(g)
         if positions is None:
             raise ContractError("7-vertex squared cycle failed recognition")
-        return _ensure_verified(g, ExceptionalC7Complement(positions), "find_witness")
+        return ExceptionalC7Complement(positions)
     if m % 3 == 0:
         raise ContractError("squared cycle of length divisible by 3 is 3-chromatic")
     vertex_at = traced.vertex_at()
     cycle = tuple(vertex_at[p % m] for p in squared_cycle_hole(m))
-    return _ensure_verified(g, HighOddHoleWitness(cycle), "find_witness")
+    return HighOddHoleWitness(cycle)

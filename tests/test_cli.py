@@ -3,10 +3,10 @@ import json
 
 import pytest
 
+from chidelta.certificate import serialize_certificate
 from chidelta.cli import EX_CONTRACT, EX_IOERR, EX_OK, EX_REJECT, EX_USAGE, cli_dispatch
 from chidelta.graph import cycle_power, encode_graph6
 from chidelta.oracle import CliqueWitness, HighOddHoleWitness
-from chidelta.sweep import serialize_certificate
 
 from conftest import c7_complement
 
@@ -175,6 +175,14 @@ def test_sweep_malformed_corpus_is_contract_error(capsys, tmp_path):
     corpus.write_text("C~~~\n")
     code, _, err = run(capsys, "sweep", "--max-n", "4", "--corpus", str(corpus))
     assert code == EX_CONTRACT
+
+
+def test_sweep_malformed_corpus_names_the_line(capsys, tmp_path):
+    corpus = tmp_path / "bad.g6"
+    corpus.write_text("C~\nDhc\n!!bad\n")
+    code, _, err = run(capsys, "sweep", "--max-n", "5", "--corpus", str(corpus))
+    assert code == EX_CONTRACT
+    assert "corpus line 3 '!!bad'" in err and "malformed length byte" in err
 
 
 # --- gen --------------------------------------------------------------------

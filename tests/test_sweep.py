@@ -7,21 +7,27 @@ import networkx as nx
 import pytest
 
 import chidelta.sweep as sweep_mod
+import chidelta.witness as witness_mod
+from chidelta.certificate import (
+    SerializationError,
+    certificate_kind,
+    certificate_text,
+    deserialize_certificate,
+    serialize_certificate,
+)
 from chidelta.graph import decode_graph6, encode_graph6, graph_from_edges, is_connected
 from chidelta.oracle import (
     CliqueWitness,
     ExceptionalC7Complement,
     HighOddHoleWitness,
+    Verdict,
 )
 from chidelta.sweep import (
-    SerializationError,
     SweepError,
-    deserialize_certificate,
     generate_connected_graphs,
-    serialize_certificate,
     theorem_sweep,
 )
-from chidelta.witness import find_witness
+from chidelta.witness import ContractError, find_witness
 
 from conftest import to_nx
 
@@ -147,6 +153,21 @@ def test_serialize_pinned_formats():
     }
 
 
+
+def test_certificate_text_pinned():
+    clique = CliqueWitness(frozenset({3, 1, 0, 2}))
+    hole = HighOddHoleWitness((1, 3, 4, 6, 7, 9, 11, 13, 15))
+    c7 = ExceptionalC7Complement((0, 2, 4, 6, 1, 3, 5))
+    assert certificate_text(clique) == "kind: clique\nvertices: 0 1 2 3"
+    assert certificate_text(hole) == "kind: high_odd_hole\ncycle: 1 3 4 6 7 9 11 13 15"
+    assert certificate_text(c7) == (
+        "kind: c7_complement\npositions: 0 2 4 6 1 3 5\n"
+        "note: unique exceptional graph (complement of the 7-cycle)"
+    )
+    for cert in (clique, hole, c7):
+        assert certificate_kind(cert) == json.loads(serialize_certificate(cert))["kind"]
+
+
 @pytest.mark.parametrize(
     "cert",
     [
@@ -232,6 +253,57 @@ def test_sweep_aborts_on_bogus_certificate(monkeypatch):
     with pytest.raises(SweepError) as err:
         theorem_sweep(4, "oracle")
     assert decode_graph6(err.value.line).n <= 4
+
+
+def test_sweep_verifies_each_certificate_once(monkeypatch):
+    calls = []
+    for mod in (witness_mod, sweep_mod):
+        original = mod.verify_certificate
+
+        def counting(g, cert, original=original):
+            calls.append(cert)
+            return original(g, cert)
+
+        monkeypatch.setattr(mod, "verify_certificate", counting)
+    report = theorem_sweep(6, "both")
+    assert report.ok and report.total_cohort > 0
+    assert len(calls) == 2 * report.total_cohort
+
+
+def test_rejected_proof_certificate_aborts(monkeypatch):
+    monkeypatch.setattr(
+        witness_mod, "verify_certificate", lambda g, cert: Verdict(False, "planted rejection")
+    )
+    with pytest.raises(ContractError, match="planted rejection"):
+        find_witness(graph_from_edges(3, [(0, 1), (1, 2)]))
+    with pytest.raises(SweepError) as err:
+        theorem_sweep(4, "proof")
+    assert "planted rejection" in err.value.detail
+    assert decode_graph6(err.value.line).n <= 4
+
+
+def test_corpus_lines_decoded_at_most_twice(monkeypatch):
+    lines = [encode_graph6(g) for n in range(1, 7) for g in generate_connected_graphs(n)]
+    calls = []
+    original = sweep_mod.decode_graph6
+
+    def counting(text):
+        calls.append(text)
+        return original(text)
+
+    monkeypatch.setattr(sweep_mod, "decode_graph6", counting)
+    report = theorem_sweep(6, "both", jobs=1, corpus=lines)
+    assert report.total_graphs == len(lines)
+    assert len(calls) <= 2 * len(lines)
+
+
+def test_corpus_keeps_file_order_within_each_order():
+    lines = [encode_graph6(g) for g in generate_connected_graphs(4)]
+    mixed = [lines[3], "C~", lines[0], encode_graph6(graph_from_edges(2, [(0, 1)]))]
+    assert sweep_mod._corpus_by_order(mixed + ["", "  "]) == {
+        4: [lines[3], "C~", lines[0]],
+        2: [mixed[3]],
+    }
 
 
 def test_sweep_failure_terminates_pool(monkeypatch):

@@ -116,6 +116,8 @@ def _cmd_witness(args) -> int:
 
 def _cmd_chi(args) -> int:
     g = decode_graph6(_read_graph(args.graph))
+    if g.n == 0:
+        raise ContractError("empty graph")
     print(f"chi={chromatic_number(g)} delta={max_degree(g)}")
     return EX_OK
 
@@ -123,13 +125,13 @@ def _cmd_chi(args) -> int:
 def _cmd_verify(args) -> int:
     g = decode_graph6(_read_graph(args.graph))
     try:
-        with open(args.certificate, encoding="utf-8") as fh:
-            text = fh.read()
+        with open(args.certificate, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise IOError(str(exc)) from exc
     try:
-        cert = deserialize_certificate(text)
-    except SerializationError as exc:
+        cert = deserialize_certificate(data.decode("utf-8"))
+    except (UnicodeDecodeError, SerializationError) as exc:
         print(f"reject: malformed certificate: {exc}")
         return EX_REJECT
     verdict = verify_certificate(g, cert)
@@ -154,7 +156,9 @@ def _cmd_sweep(args) -> int:
     corpus = None
     if args.corpus:
         try:
-            with open(args.corpus, encoding="utf-8") as fh:
+            # undecodable bytes survive as surrogates, which the graph6
+            # decoder rejects with the corpus line number
+            with open(args.corpus, encoding="utf-8", errors="surrogateescape") as fh:
                 corpus = fh.readlines()
         except OSError as exc:
             raise IOError(str(exc)) from exc

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .graph import Graph, induced_subgraph
+from .graph import Graph
 
 
 @dataclass(frozen=True)
@@ -224,10 +224,13 @@ def shortest_path_in_chain(
 def extract_vertex_critical(g: Graph) -> frozenset[int]:
     """Vertex set of a vertex-critical subgraph with the same chromatic number.
 
-    One scan in ascending vertex order deletes every vertex whose removal
-    keeps the chromatic number.  One pass suffices: deleting vertices never
-    raises the chromatic number, so a vertex found necessary in a superset
-    stays necessary in every later subset, and a rescan would delete nothing.
+    Computes the chromatic number chi once, then one scan in ascending vertex
+    order deletes every vertex whose removal keeps chi.  Deleting vertices
+    never raises chi, so v can go exactly when the remaining vertices admit
+    no (chi - 1)-coloring, which `find_k_coloring` decides on the vertex
+    subset itself; at chi = 1 every vertex but the last can go.  One pass
+    suffices: a vertex found necessary in a superset stays necessary in every
+    later subset, so a rescan would delete nothing.
     """
     if g.n == 0:
         raise ValueError("empty graph")
@@ -235,9 +238,6 @@ def extract_vertex_critical(g: Graph) -> frozenset[int]:
     keep = list(range(g.n))
     for v in range(g.n):
         trial = [u for u in keep if u != v]
-        if not trial:
-            continue
-        sub, _ = induced_subgraph(g, trial)
-        if chromatic_number(sub) == target:
+        if trial and (target == 1 or find_k_coloring(g, target - 1, trial) is None):
             keep = trial
     return frozenset(keep)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import multiprocessing
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from typing import Iterable, Iterator
 
@@ -212,15 +212,9 @@ class SweepReport:
             "problems": self.problems(),
             "orders": [
                 {
-                    "n": o.n,
-                    "graphs": o.graphs,
-                    "cohort": o.cohort,
+                    **asdict(o),
                     "proof_kinds": dict(sorted(o.proof_kinds.items())),
                     "oracle_kinds": dict(sorted(o.oracle_kinds.items())),
-                    "kind_mismatches": o.kind_mismatches,
-                    "verification_failures": o.verification_failures,
-                    "exceptional": o.exceptional,
-                    "seconds": o.seconds,
                 }
                 for o in self.orders
             ],

@@ -352,12 +352,13 @@ def trace_squared_cycle(
     """Label a 4-regular graph as the square of a cycle, or fail trying.
 
     First computes the path quad at every vertex, in vertex order; the first
-    certificate or inconsistency met on the way is returned.  Then seeds
-    positions ..a2, b2, 0, b1, a1.. from the quad at vertex 0 and walks the
-    quads: the quad at the newest A-endpoint must match the two previously
-    placed vertices at its known end, and its other end places two more.  On
-    completion every vertex's neighbourhood must be that of its position in
-    the square of the n-cycle.
+    certificate or inconsistency met on the way is returned.  Then walks one
+    vertex per step from vertex 0 to the B-vertex b1 of its quad: each next
+    vertex is the B-vertex of the current vertex's quad that is not the
+    previous one.  The walk must visit every vertex exactly once, and every
+    vertex's neighbourhood must then be that of its walk position in the
+    square of the n-cycle.  The result is the only such labeling with vertex 0
+    at position 0 and b1 at position 1.
     """
     if g.n == 0 or not is_connected(g):
         raise ContractError("graph must be connected and nonempty")
@@ -367,41 +368,20 @@ def trace_squared_cycle(
     quads = _quads(g)
     if not isinstance(quads, dict):
         return quads
-    quad = quads[0]
-    position = {quad.a2: (n - 2) % n, quad.b2: (n - 1) % n, 0: 0, quad.b1: 1, quad.a1: 2}
-    if len(position) != 5:
-        return Inconsistent("seed quad vertices are not distinct")
-    prev2, prev1, frontier, q = 0, quad.b1, quad.a1, 2
-    while len(position) < n:
-        step = quads[frontier]
-        if step.a1 == prev2 and step.b1 == prev1:
-            nxt1, nxt2 = step.b2, step.a2
-        elif step.a2 == prev2 and step.b2 == prev1:
-            nxt1, nxt2 = step.b1, step.a1
-        else:
-            return Inconsistent(
-                f"quad at {frontier} does not extend positions {q - 2},{q - 1}"
-            )
-        for vert, pos in ((nxt1, (q + 1) % n), (nxt2, (q + 2) % n)):
-            if vert in position:
-                if position[vert] != pos:
-                    return Inconsistent(
-                        f"vertex {vert} re-placed at {pos}, already at {position[vert]}"
-                    )
-            else:
-                position[vert] = pos
-        prev2, prev1, frontier, q = frontier, nxt1, nxt2, q + 2
-        if q > 2 * n:
-            return Inconsistent("tracing ran past the cycle without closing")
-    labeling = SquaredCycleLabeling(n, tuple(position[v] for v in range(n)))
-    if sorted(labeling.position) != list(range(n)):
-        return Inconsistent("position labeling is not a bijection")
-    vertex_at = labeling.vertex_at()
+    walk = [0, quads[0].b1]
+    while len(walk) < n:
+        quad = quads[walk[-1]]
+        walk.append(quad.b2 if quad.b1 == walk[-2] else quad.b1)
+    if len(set(walk)) != n:
+        return Inconsistent("walk along the quads revisits a vertex before closing")
+    position = [0] * n
+    for p, v in enumerate(walk):
+        position[v] = p
     square = cycle_power(n, 2)
-    for u, p in enumerate(labeling.position):
-        if g.adjacency_mask(u) != _mask(vertex_at[w] for w in square.neighbors(p)):
+    for u, p in enumerate(position):
+        if g.adjacency_mask(u) != _mask(walk[w] for w in square.neighbors(p)):
             return Inconsistent(f"neighbours of {u} disagree with its position {p}")
-    return labeling
+    return SquaredCycleLabeling(n, tuple(position))
 
 
 def squared_cycle_hole(n: int) -> tuple[int, ...]:

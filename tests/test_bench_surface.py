@@ -37,6 +37,22 @@ def test_tracer_bindings_resolve(tracer):
     assert missing == []
 
 
+def test_tracer_bindings_are_used(tracer):
+    # a rebound name that its module no longer reads would trace nothing,
+    # and its per-layer metric would silently read 0
+    unused = []
+    for module, attr, _ in tracer.BINDINGS + tracer.GENERATORS:
+        source = Path(importlib.import_module(module).__file__).read_text(encoding="utf-8")
+        loads = [
+            node
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Name) and node.id == attr and isinstance(node.ctx, ast.Load)
+        ]
+        if not loads:
+            unused.append(f"{module}.{attr}")
+    assert unused == []
+
+
 def test_bench_run_imports_resolve():
     tree = ast.parse((BENCH / "run.py").read_text(encoding="utf-8"))
     names = [

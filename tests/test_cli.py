@@ -95,6 +95,11 @@ def test_chi_reports_both_numbers(capsys):
     assert code == EX_OK and out.strip() == "chi=4 delta=4"
 
 
+def test_chi_empty_graph_is_contract_error(capsys):
+    code, _, err = run(capsys, "chi", "--graph", "?")
+    assert code == EX_CONTRACT and err.strip() == "error: empty graph"
+
+
 # --- verify -----------------------------------------------------------------
 
 
@@ -120,6 +125,13 @@ def test_verify_rejects_malformed_certificate(capsys, tmp_path):
     path.write_text('{"kind": "sorcery"}')
     code, out, _ = run(capsys, "verify", "--graph", "C~", "--certificate", str(path))
     assert code == EX_REJECT and "malformed" in out
+
+
+def test_verify_rejects_non_utf8_certificate(capsys, tmp_path):
+    path = tmp_path / "cert.json"
+    path.write_bytes(b'{"kind": "clique", "vertices": [0, 1, 2]}\xff\xfe')
+    code, out, _ = run(capsys, "verify", "--graph", "C~", "--certificate", str(path))
+    assert code == EX_REJECT and out.startswith("reject: malformed certificate: ")
 
 
 def test_verify_missing_file_is_io_error(capsys, tmp_path):
@@ -183,6 +195,14 @@ def test_sweep_malformed_corpus_names_the_line(capsys, tmp_path):
     code, _, err = run(capsys, "sweep", "--max-n", "5", "--corpus", str(corpus))
     assert code == EX_CONTRACT
     assert "corpus line 3 '!!bad'" in err and "malformed length byte" in err
+
+
+def test_sweep_non_utf8_corpus_names_the_line(capsys, tmp_path):
+    corpus = tmp_path / "bad.g6"
+    corpus.write_bytes(b"C~\n\xff\xfe\n")
+    code, _, err = run(capsys, "sweep", "--max-n", "5", "--corpus", str(corpus))
+    assert code == EX_CONTRACT
+    assert "corpus line 2 " in err and "malformed length byte" in err
 
 
 # --- gen --------------------------------------------------------------------

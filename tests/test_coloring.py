@@ -218,6 +218,23 @@ def test_extract_critical_single_scan(monkeypatch):
     assert len(calls) <= g.n + 1
 
 
+@pytest.mark.parametrize(
+    "g", [c7_complement(), cycle_power(16, 2), graph_from_edges(3, []), path_n(4)]
+)
+def test_extract_critical_computes_chi_once(monkeypatch, g):
+    # the scan asks colourability questions, never a chromatic number per vertex
+    calls = []
+    original = coloring_mod.chromatic_number
+
+    def counting(h):
+        calls.append(h.n)
+        return original(h)
+
+    monkeypatch.setattr(coloring_mod, "chromatic_number", counting)
+    extract_vertex_critical(g)
+    assert calls == [g.n]
+
+
 def _restart_scan_critical(g):
     # reference: delete the lowest deletable vertex, then rescan from the start
     target = chromatic_number(g)

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -229,6 +230,49 @@ def test_find_witness_splits_each_vertex_once(monkeypatch, n):
     g = cycle_power(n, 2)
     assert isinstance(find_witness(g), HighOddHoleWitness)
     assert calls == list(range(n))
+
+
+def _relabelled_square(n, copy):
+    perm = list(range(n))
+    random.Random(f"squared-cycle:{n}:{copy}").shuffle(perm)
+    return graph_from_edges(n, [(perm[u], perm[w]) for u, w in cycle_power(n, 2).edges()])
+
+
+@pytest.mark.parametrize(
+    "n,copy,position,cert",
+    [
+        (7, 1, (0, 1, 2, 4, 6, 3, 5), ExceptionalC7Complement((0, 2, 4, 1, 5, 6, 3))),
+        (7, 2, (0, 2, 4, 1, 6, 5, 3), ExceptionalC7Complement((0, 4, 1, 2, 5, 3, 6))),
+        (
+            16, 1,
+            (0, 11, 9, 3, 2, 13, 8, 4, 14, 15, 6, 12, 5, 7, 10, 1),
+            HighOddHoleWitness((15, 3, 7, 10, 13, 2, 1, 5, 9)),
+        ),
+        (
+            16, 2,
+            (0, 8, 10, 13, 6, 3, 11, 1, 4, 7, 2, 5, 15, 9, 12, 14),
+            HighOddHoleWitness((7, 5, 8, 4, 9, 13, 6, 3, 12)),
+        ),
+        (
+            40, 1,
+            (0, 19, 32, 2, 4, 14, 28, 7, 34, 20, 18, 3, 37, 30, 38, 1, 35, 15, 9, 11,
+             39, 5, 36, 13, 33, 26, 22, 21, 10, 29, 23, 24, 6, 25, 31, 8, 16, 17, 12, 27),
+            HighOddHoleWitness((15, 11, 4, 32, 7, 18, 28, 38, 23, 17, 36, 10, 1, 27, 26,
+                                31, 33, 39, 6, 13, 34, 24, 16, 12, 20)),
+        ),
+        (
+            40, 2,
+            (0, 37, 28, 7, 30, 23, 32, 36, 17, 19, 11, 4, 22, 13, 10, 20, 1, 31, 8, 6,
+             26, 14, 9, 18, 39, 12, 5, 33, 21, 25, 27, 24, 16, 15, 3, 35, 34, 2, 38, 29),
+            HighOddHoleWitness((16, 34, 11, 19, 3, 22, 14, 25, 13, 33, 32, 23, 9, 28, 12,
+                                31, 29, 30, 2, 4, 17, 27, 35, 1, 24)),
+        ),
+    ],
+)
+def test_trace_and_witness_pinned_on_relabelled_squares(n, copy, position, cert):
+    g = _relabelled_square(n, copy)
+    assert trace_squared_cycle(g) == SquaredCycleLabeling(n, position)
+    assert find_witness(g) == cert
 
 
 def test_trace_on_c7_complement():

@@ -104,13 +104,15 @@ def find_k_coloring(g: Graph, k: int, on: Iterable[int] | None = None) -> Colori
     return None
 
 
-def _greedy_clique(g: Graph) -> list[int]:
-    # Lower bound for the exact search; deterministic but heuristic.
-    if g.n == 0:
+def _greedy_clique(g: Graph, verts: list[int]) -> list[int]:
+    # Lower bound for the exact search on the subgraph induced by the
+    # distinct `verts`; deterministic but heuristic.
+    if not verts:
         return []
-    start = max(range(g.n), key=lambda v: (g.degree(v), -v))
+    inside = sum(1 << v for v in verts)
+    start = max(verts, key=lambda v: ((g.adjacency_mask(v) & inside).bit_count(), -v))
     clique = [start]
-    cand = g.adjacency_mask(start)
+    cand = g.adjacency_mask(start) & inside
     while cand:
         best = -1
         best_score = -1
@@ -147,7 +149,7 @@ def chromatic_number(g: Graph) -> int:
         raise ValueError("chromatic number of the empty graph")
     if g.edge_count() == 0:
         return 1
-    low = max(2, len(_greedy_clique(g)))
+    low = max(2, len(_greedy_clique(g, list(range(g.n)))))
     high = _greedy_color_count(g)
     for k in range(low, high):
         if find_k_coloring(g, k) is not None:
@@ -227,10 +229,11 @@ def extract_vertex_critical(g: Graph) -> frozenset[int]:
     Computes the chromatic number chi once, then one scan in ascending vertex
     order deletes every vertex whose removal keeps chi.  Deleting vertices
     never raises chi, so v can go exactly when the remaining vertices admit
-    no (chi - 1)-coloring, which `find_k_coloring` decides on the vertex
-    subset itself; at chi = 1 every vertex but the last can go.  One pass
-    suffices: a vertex found necessary in a superset stays necessary in every
-    later subset, so a rescan would delete nothing.
+    no (chi - 1)-coloring.  A greedy clique of chi vertices among them
+    settles that at once; otherwise `find_k_coloring` decides it on the
+    vertex subset itself.  One pass suffices: a vertex found necessary in a
+    superset stays necessary in every later subset, so a rescan would delete
+    nothing.
     """
     if g.n == 0:
         raise ValueError("empty graph")
@@ -238,6 +241,9 @@ def extract_vertex_critical(g: Graph) -> frozenset[int]:
     keep = list(range(g.n))
     for v in range(g.n):
         trial = [u for u in keep if u != v]
-        if trial and (target == 1 or find_k_coloring(g, target - 1, trial) is None):
+        if trial and (
+            len(_greedy_clique(g, trial)) >= target
+            or find_k_coloring(g, target - 1, trial) is None
+        ):
             keep = trial
     return frozenset(keep)

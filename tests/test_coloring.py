@@ -235,6 +235,24 @@ def test_extract_critical_computes_chi_once(monkeypatch, g):
     assert calls == [g.n]
 
 
+def test_extract_critical_skips_search_while_a_clique_survives(monkeypatch):
+    # K4 with a 30-vertex pendant path labelled before it: an exhaustive
+    # 3-colouring search of path-plus-K4 would branch on every path vertex
+    m = 30
+    edges = [(i, i + 1) for i in range(m)]
+    edges += [(m + i, m + j) for i in range(4) for j in range(i + 1, 4)]
+    g = graph_from_edges(m + 4, edges)
+    clique = set(range(m, m + 4))
+    original = coloring_mod.find_k_coloring
+
+    def inside_clique_only(h, k, on=None):
+        assert on is not None and set(on) <= clique, "searched with the K4 intact"
+        return original(h, k, on)
+
+    monkeypatch.setattr(coloring_mod, "find_k_coloring", inside_clique_only)
+    assert extract_vertex_critical(g) == clique
+
+
 def _restart_scan_critical(g):
     # reference: delete the lowest deletable vertex, then rescan from the start
     target = chromatic_number(g)

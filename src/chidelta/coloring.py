@@ -55,21 +55,6 @@ def is_proper(g: Graph, c: Coloring, on: Iterable[int] | None = None) -> bool:
     return True
 
 
-def _most_saturated(g: Graph, colors: list[int], verts: Iterable[int]) -> int:
-    # Uncoloured vertex of `verts` with the most distinct neighbour colours,
-    # ties to the lowest id (`verts` ascending); -1 if all are coloured.
-    best = -1
-    best_sat = -1
-    for v in verts:
-        if colors[v]:
-            continue
-        sat = len({colors[u] for u in g.neighbors(v) if colors[u]})
-        if sat > best_sat:
-            best_sat = sat
-            best = v
-    return best
-
-
 def find_k_coloring(g: Graph, k: int, on: Iterable[int] | None = None) -> Coloring | None:
     """Proper coloring of exactly the vertices in `on` with <= k colors, or None.
 
@@ -88,7 +73,16 @@ def find_k_coloring(g: Graph, k: int, on: Iterable[int] | None = None) -> Colori
     def solve(remaining: int, used: int) -> bool:
         if remaining == 0:
             return True
-        v = _most_saturated(g, colors, verts)
+        # uncoloured vertex with the most distinct neighbour colours, ties
+        # to the lowest id (`verts` ascending)
+        v = -1
+        best_sat = -1
+        for u in verts:
+            if not colors[u]:
+                sat = len({colors[w] for w in g.neighbors(u) if colors[w]})
+                if sat > best_sat:
+                    best_sat = sat
+                    v = u
         forbidden = {colors[u] for u in g.neighbors(v)}
         for c in range(1, min(k, used + 1) + 1):
             if c in forbidden:
@@ -130,31 +124,34 @@ def _greedy_clique(g: Graph, verts: list[int]) -> list[int]:
     return clique
 
 
-def _greedy_color_count(g: Graph) -> int:
-    # Non-backtracking saturation-order coloring; upper bound only.
-    colors = [0] * g.n
-    for _ in range(g.n):
-        best = _most_saturated(g, colors, range(g.n))
-        forbidden = {colors[u] for u in g.neighbors(best)}
-        c = 1
-        while c in forbidden:
-            c += 1
-        colors[best] = c
-    return max(colors, default=0)
+def _colourable(g: Graph, k: int, verts: list[int]) -> bool:
+    # Whether the subgraph induced by the distinct `verts` has a k-coloring.
+    # A vertex with fewer than k neighbours can always be coloured last, so
+    # peel such vertices until none is left: the rest is the k-core, which is
+    # k-colourable exactly when `verts` is.  A greedy clique of more than k
+    # vertices lies inside the core and settles it without a search.
+    core = verts
+    while True:
+        inside = sum(1 << v for v in core)
+        left = [v for v in core if (g.adjacency_mask(v) & inside).bit_count() >= k]
+        if len(left) == len(core):
+            return len(_greedy_clique(g, core)) <= k and find_k_coloring(g, k, core) is not None
+        core = left
 
 
 def chromatic_number(g: Graph) -> int:
-    """Least k for which a proper k-coloring of all vertices exists (exact)."""
+    """Least k for which a proper k-coloring of all vertices exists (exact).
+
+    Starts at the size of a greedy clique and raises k until `_colourable`
+    holds: peel to the k-core, bound by a clique, then one exact search.
+    """
     if g.n == 0:
         raise ValueError("chromatic number of the empty graph")
-    if g.edge_count() == 0:
-        return 1
-    low = max(2, len(_greedy_clique(g, list(range(g.n)))))
-    high = _greedy_color_count(g)
-    for k in range(low, high):
-        if find_k_coloring(g, k) is not None:
-            return k
-    return high
+    verts = list(range(g.n))
+    k = len(_greedy_clique(g, verts))
+    while not _colourable(g, k, verts):
+        k += 1
+    return k
 
 
 def kempe_chain(g: Graph, c: Coloring, start: int, a: int, b: int) -> KempeChain:
@@ -229,11 +226,11 @@ def extract_vertex_critical(g: Graph) -> frozenset[int]:
     Computes the chromatic number chi once, then one scan in ascending vertex
     order deletes every vertex whose removal keeps chi.  Deleting vertices
     never raises chi, so v can go exactly when the remaining vertices admit
-    no (chi - 1)-coloring.  A greedy clique of chi vertices among them
-    settles that at once; otherwise `find_k_coloring` decides it on the
-    vertex subset itself.  One pass suffices: a vertex found necessary in a
-    superset stays necessary in every later subset, so a rescan would delete
-    nothing.
+    no (chi - 1)-coloring.  `_colourable` decides that the same way
+    `chromatic_number` does: peel to the (chi - 1)-core, bound by a greedy
+    clique, then one exact search on the core.  One pass suffices: a vertex
+    found necessary in a superset stays necessary in every later subset, so
+    a rescan would delete nothing.
     """
     if g.n == 0:
         raise ValueError("empty graph")
@@ -241,9 +238,6 @@ def extract_vertex_critical(g: Graph) -> frozenset[int]:
     keep = list(range(g.n))
     for v in range(g.n):
         trial = [u for u in keep if u != v]
-        if trial and (
-            len(_greedy_clique(g, trial)) >= target
-            or find_k_coloring(g, target - 1, trial) is None
-        ):
+        if trial and not _colourable(g, target - 1, trial):
             keep = trial
     return frozenset(keep)

@@ -28,7 +28,7 @@ GENERATION_CAP = 9
 
 
 class SweepError(RuntimeError):
-    """A sweep hit a verification failure; carries the offending graph6 line."""
+    """A sweep hit a verification failure or an error; carries the offending graph6 line."""
 
     def __init__(self, line: str, detail: str):
         super().__init__(f"{detail} (graph6: {line})")
@@ -280,6 +280,9 @@ def _sweep_task(args: tuple[str, str]) -> dict:
             rec["oracle_kind"] = certificate_kind(cert)
     except ContractError as exc:
         rec["error"] = f"contract error: {exc}"
+    except Exception as exc:
+        # any other failure still names its graph6 line, in the pool or not
+        rec["error"] = f"internal error: {type(exc).__name__}: {exc}"
     return rec
 
 
@@ -322,9 +325,10 @@ def theorem_sweep(
 
     Per-graph work is independent; with jobs > 1 a process pool is used and
     results are merged in generation order, so the report is identical for
-    any worker count.  The first verification failure aborts with the
-    offending graph6 line.  A corpus is decoded once up front; a malformed
-    line raises GraphError naming its line number.
+    any worker count.  The first verification failure, or any other
+    exception in the per-graph work, aborts with the offending graph6 line.
+    A corpus is decoded once up front; a malformed line raises GraphError
+    naming its line number.
     """
     if method not in ("proof", "oracle", "both"):
         raise ValueError(f"unknown method {method!r}")

@@ -253,6 +253,35 @@ def test_extract_critical_skips_search_while_a_clique_survives(monkeypatch):
     assert extract_vertex_critical(g) == clique
 
 
+def _pendant_c7_complement(m):
+    # complement of C7 on ids m..m+6 with a path on ids 0..m-1 hanging off m
+    edges = [(i, i + 1) for i in range(m)]
+    edges += [(m + i, m + j) for i in range(7) for j in range(i + 2, 7) if (i, j) != (0, 6)]
+    return graph_from_edges(m + 7, edges)
+
+
+def test_searches_see_only_cores(monkeypatch):
+    # chi = 4 and no K4, so no clique settles the question: every search runs,
+    # and each must be on a k-core, never on the pendant path
+    m = 30
+    g = _pendant_c7_complement(m)
+    original = coloring_mod.find_k_coloring
+    calls = []
+
+    def core_only(h, k, on=None):
+        assert on is not None, "searched the whole graph"
+        inside = set(on)
+        for v in inside:
+            assert len(set(h.neighbors(v)) & inside) >= k, f"vertex {v} not in the {k}-core"
+        calls.append(k)
+        return original(h, k, on)
+
+    monkeypatch.setattr(coloring_mod, "find_k_coloring", core_only)
+    assert chromatic_number(g) == 4
+    assert extract_vertex_critical(g) == set(range(m, m + 7))
+    assert calls
+
+
 def _restart_scan_critical(g):
     # reference: delete the lowest deletable vertex, then rescan from the start
     target = chromatic_number(g)
@@ -277,6 +306,43 @@ def test_extract_critical_matches_restart_scan():
     for _ in range(80):
         g = random_graph(rng, rng.randint(1, 9), rng.choice([0.3, 0.5, 0.7]))
         assert extract_vertex_critical(g) == _restart_scan_critical(g)
+
+
+def _greedy_color_count_reference(g):
+    # non-backtracking saturation-order coloring; upper bound only
+    colors = [0] * g.n
+    for _ in range(g.n):
+        best, best_sat = -1, -1
+        for v in range(g.n):
+            if not colors[v]:
+                sat = len({colors[u] for u in g.neighbors(v) if colors[u]})
+                if sat > best_sat:
+                    best, best_sat = v, sat
+        forbidden = {colors[u] for u in g.neighbors(best)}
+        c = 1
+        while c in forbidden:
+            c += 1
+        colors[best] = c
+    return max(colors, default=0)
+
+
+def _chromatic_number_reference(g):
+    # reference: clique lower bound, greedy upper bound, exact searches between
+    if g.edge_count() == 0:
+        return 1
+    low = max(2, len(coloring_mod._greedy_clique(g, list(range(g.n)))))
+    high = _greedy_color_count_reference(g)
+    for k in range(low, high):
+        if find_k_coloring(g, k) is not None:
+            return k
+    return high
+
+
+def test_chromatic_number_matches_reference():
+    rng = random.Random(7177)
+    for _ in range(200):
+        g = random_graph(rng, rng.randint(1, 12), rng.choice([0.2, 0.35, 0.5, 0.7, 0.85]))
+        assert chromatic_number(g) == _chromatic_number_reference(g)
 
 
 def test_extract_critical_c5():

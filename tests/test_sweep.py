@@ -8,6 +8,7 @@ import pytest
 
 import chidelta.sweep as sweep_mod
 import chidelta.witness as witness_mod
+from chidelta.cli import EX_REJECT, cli_dispatch
 from chidelta.certificate import (
     SerializationError,
     certificate_kind,
@@ -321,6 +322,27 @@ def test_sweep_failure_terminates_pool(monkeypatch):
         theorem_sweep(3, "both", min_n=3, jobs=2, corpus=[line])
     assert err.value.line == line and "round trip" in err.value.detail
     assert len(terminated) == 1
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_sweep_worker_exception_names_the_line(monkeypatch, capsys, jobs):
+    # an unexpected exception inside the per-graph work is a failure of that
+    # graph, not a traceback out of the pool
+    def broken(g):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(sweep_mod, "find_witness", broken)
+    line = encode_graph6(graph_from_edges(3, [(0, 1), (1, 2)]))
+    with pytest.raises(SweepError) as err:
+        theorem_sweep(3, "proof", min_n=3, jobs=jobs, corpus=[line])
+    assert err.value.line == line
+    assert err.value.detail == "internal error: RuntimeError: boom"
+
+    code = cli_dispatch(["sweep", "--min-n", "3", "--max-n", "3", "--jobs", str(jobs)])
+    err_text = capsys.readouterr().err
+    assert code == EX_REJECT
+    assert "internal error: RuntimeError: boom" in err_text
+    assert "offending graph6 line: " in err_text
 
 
 def test_sweep_rejects_bad_parameters():

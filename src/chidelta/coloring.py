@@ -1,9 +1,12 @@
 """Exact vertex colouring, Kempe chains, and vertex-critical subgraph extraction.
 
-The solver is exact branch-and-bound with saturation-degree ordering and a
-deterministic branching rule, so every coloring it hands out is reproducible
-for a fixed graph labeling.  Kempe machinery works on two-colour components
-of a proper partial coloring.
+The solver is exact branch-and-bound with saturation-degree ordering (DSatur)
+and a deterministic branching rule, so every coloring it hands out is
+reproducible for a fixed graph labeling.  It keeps each vertex's saturation
+incrementally, touching only the neighbours of the vertex it paints or
+unpaints, and backtracks over an explicit stack, so search depth is not
+bounded by the interpreter's recursion limit.  Kempe machinery works on
+two-colour components of a proper partial coloring.
 """
 
 from __future__ import annotations
@@ -61,41 +64,73 @@ def find_k_coloring(g: Graph, k: int, on: Iterable[int] | None = None) -> Colori
     Branching picks the uncoloured vertex of maximum saturation (distinct
     colours among its coloured neighbours), ties broken by lowest id, and
     tries colours in ascending order allowing at most one fresh colour.
+
+    Per-vertex, per-colour counts of coloured neighbours and the saturation
+    they give are updated only over the neighbours of the vertex being painted
+    or unpainted, so selection is one pass over the uncoloured vertices with
+    no recounting.  Backtracking runs over an explicit stack of
+    (vertex, its index among the uncoloured, colour, colours used before it)
+    frames, not recursion.
     """
     if k < 1:
         raise ValueError("palette size must be at least 1")
-    verts = sorted(set(on)) if on is not None else list(range(g.n))
-    for v in verts:
+    free = sorted(set(on)) if on is not None else list(range(g.n))
+    for v in free:
         if not 0 <= v < g.n:
             raise ValueError(f"vertex {v} out of range")
+    if not free:
+        return Coloring(k, (0,) * g.n)
+    nbrs = g.neighbors
+    stride = k + 1
     colors = [0] * g.n
-
-    def solve(remaining: int, used: int) -> bool:
-        if remaining == 0:
-            return True
-        # uncoloured vertex with the most distinct neighbour colours, ties
-        # to the lowest id (`verts` ascending)
-        v = -1
-        best_sat = -1
-        for u in verts:
-            if not colors[u]:
-                sat = len({colors[w] for w in g.neighbors(u) if colors[w]})
-                if sat > best_sat:
-                    best_sat = sat
-                    v = u
-        forbidden = {colors[u] for u in g.neighbors(v)}
-        for c in range(1, min(k, used + 1) + 1):
-            if c in forbidden:
-                continue
+    seen = [0] * (g.n * stride)  # seen[u * stride + c]: neighbours of u coloured c
+    sat = [0] * g.n  # distinct colours among u's coloured neighbours
+    stack: list[tuple[int, int, int, int]] = []  # (vertex, index in free, colour, used before)
+    used = 0  # highest colour in use
+    c = 0  # colour last tried at v; 0 means select a new v
+    while True:
+        if c == 0:
+            # select: uncoloured vertex of maximum saturation, ties to the lowest
+            # id (`free` ascending); saturation never exceeds `used`
+            best = -1
+            for j, u in enumerate(free):
+                s = sat[u]
+                if s > best:
+                    best, i = s, j
+                    if s == used:
+                        break
+            v = free.pop(i)
+        # next colour above c not seen next to v, at most one fresh colour
+        base = v * stride
+        top = k if used >= k else used + 1
+        c += 1
+        while c <= top and seen[base + c]:
+            c += 1
+        if c <= top:
             colors[v] = c
-            if solve(remaining - 1, max(used, c)):
-                return True
-            colors[v] = 0
-        return False
-
-    if solve(len(verts), 0):
-        return Coloring(k, tuple(colors))
-    return None
+            for u in nbrs(v):
+                j = u * stride + c
+                if not seen[j]:
+                    sat[u] += 1
+                seen[j] += 1
+            stack.append((v, i, c, used))
+            if not free:
+                return Coloring(k, tuple(colors))
+            if c > used:
+                used = c
+            c = 0
+            continue
+        # no colour left for v: put it back and move the previous vertex on
+        free.insert(i, v)
+        if not stack:
+            return None
+        v, i, c, used = stack.pop()
+        colors[v] = 0
+        for u in nbrs(v):
+            j = u * stride + c
+            seen[j] -= 1
+            if not seen[j]:
+                sat[u] -= 1
 
 
 def _greedy_clique(g: Graph, verts: list[int]) -> list[int]:

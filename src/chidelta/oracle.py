@@ -3,11 +3,12 @@
 Everything here is exhaustive search over small graphs: backtracking clique
 search with bitmask intersection pruning, anchored chordless-cycle
 enumeration for high odd holes, and direct structural recognition of the
-7-vertex exceptional graph.  `verify_certificate` checks any certificate
-(the types live in `certificate`) from first principles and is the ground
-truth the rest of the system is validated against: `find_witness` calls it
-once on its own result, and the sweep and the CLI call it on every oracle
-certificate.
+7-vertex exceptional graph.  Both searches backtrack over explicit stacks,
+so their depth is not bounded by the interpreter's recursion limit.
+`verify_certificate` checks any certificate (the types live in
+`certificate`) from first principles and is the ground truth the rest of the
+system is validated against: `find_witness` calls it once on its own result,
+and the sweep and the CLI call it on every oracle certificate.
 """
 
 from __future__ import annotations
@@ -34,31 +35,31 @@ _ACCEPT = Verdict(True)
 def find_clique(g: Graph, k: int) -> frozenset[int] | None:
     """Lexicographically least k-clique (as a vertex set), or None.
 
-    Depth-first over ascending vertex ids with candidate-mask intersection;
-    because subsets are explored in lexicographic order and pruning only
-    discards infeasible branches, the first hit is the least witness.
+    Depth-first over ascending vertex ids with candidate-mask intersection,
+    one stack entry of untried candidates per chosen vertex; because subsets
+    are explored in lexicographic order and pruning only discards infeasible
+    branches, the first hit is the least witness.
     """
     if k < 1:
         raise ValueError("clique size must be at least 1")
     if k > g.n:
         return None
-
-    def extend(chosen: list[int], cand: int, need: int) -> list[int] | None:
-        if need == 0:
-            return chosen
-        while cand:
-            if cand.bit_count() < need:
+    chosen: list[int] = []
+    cands = [(1 << g.n) - 1]  # cands[i]: untried extensions of chosen[:i]
+    while len(chosen) < k:
+        cand = cands[-1]
+        if cand.bit_count() < k - len(chosen):
+            cands.pop()
+            if not chosen:
                 return None
-            low = cand & -cand
-            v = low.bit_length() - 1
-            cand ^= low
-            found = extend(chosen + [v], cand & g.adjacency_mask(v), need - 1)
-            if found is not None:
-                return found
-        return None
-
-    hit = extend([], (1 << g.n) - 1, k)
-    return frozenset(hit) if hit is not None else None
+            chosen.pop()
+            continue
+        low = cand & -cand
+        v = low.bit_length() - 1
+        cands[-1] = cand ^ low
+        chosen.append(v)
+        cands.append(cand & g.adjacency_mask(v))
+    return frozenset(chosen)
 
 
 def odd_holes(g: Graph, degree_floor: int = 0) -> Iterator[tuple[int, ...]]:
@@ -67,41 +68,45 @@ def odd_holes(g: Graph, degree_floor: int = 0) -> Iterator[tuple[int, ...]]:
     Each cycle is anchored at its least vertex and reported once: paths grow
     from the anchor through ascending extensions that stay chordless, and a
     closure is emitted only when the second vertex id is below the last,
-    killing the reflected traversal.
+    killing the reflected traversal.  The paths are grown depth-first over an
+    explicit stack of frames, one per path vertex after the anchor.
     """
     candidates = 0
     for v in range(g.n):
         if g.degree(v) >= degree_floor:
             candidates |= 1 << v
 
-    def grow(path: list[int], path_mask: int, blocked: int) -> Iterator[tuple[int, ...]]:
-        anchor = path[0]
-        last = path[-1]
-        allowed = (
-            g.adjacency_mask(last)
-            & candidates
-            & ~path_mask
-            & ~blocked
-            & ~((1 << (anchor + 1)) - 1)
-        )
-        m = allowed
-        while m:
-            low = m & -m
-            w = low.bit_length() - 1
-            m ^= low
-            if g.has_edge(w, anchor):
-                length = len(path) + 1
-                if length >= 5 and length % 2 == 1 and path[1] < w:
-                    yield tuple(path) + (w,)
-                continue
-            yield from grow(path + [w], path_mask | low, blocked | g.adjacency_mask(last))
-
     for a in range(g.n):
         if not candidates >> a & 1:
             continue
+        above = candidates & ~((1 << (a + 1)) - 1)
+        closing = g.adjacency_mask(a)
         for u in g.neighbors(a):
-            if u > a and candidates >> u & 1:
-                yield from grow([a, u], (1 << a) | (1 << u), 0)
+            if not above >> u & 1:
+                continue
+            # frame: (untried extensions of the path's last vertex, vertices
+            # on the path, neighbours of the path's earlier vertices)
+            path = [a, u]
+            on_path = (1 << a) | (1 << u)
+            stack = [(g.adjacency_mask(u) & above & ~on_path, on_path, 0)]
+            while stack:
+                m, on_path, blocked = stack[-1]
+                if not m:
+                    stack.pop()
+                    path.pop()
+                    continue
+                low = m & -m
+                w = low.bit_length() - 1
+                stack[-1] = (m ^ low, on_path, blocked)
+                if closing >> w & 1:
+                    length = len(path) + 1
+                    if length >= 5 and length % 2 == 1 and path[1] < w:
+                        yield tuple(path) + (w,)
+                    continue
+                blocked |= g.adjacency_mask(path[-1])
+                on_path |= low
+                path.append(w)
+                stack.append((g.adjacency_mask(w) & above & ~on_path & ~blocked, on_path, blocked))
 
 
 def find_high_odd_hole(g: Graph) -> tuple[int, ...] | None:

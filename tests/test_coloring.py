@@ -101,6 +101,51 @@ def test_find_k_coloring_rejects_bad_palette():
         find_k_coloring(k_n(3), 0)
 
 
+def _find_k_coloring_reference(g, k, on=None):
+    # reference: the recursive search that recounts every saturation at every
+    # node; same branching, so it must return the same colourings
+    verts = sorted(set(on)) if on is not None else list(range(g.n))
+    colors = [0] * g.n
+
+    def solve(remaining, used):
+        if remaining == 0:
+            return True
+        v, best_sat = -1, -1
+        for u in verts:
+            if not colors[u]:
+                sat = len({colors[w] for w in g.neighbors(u) if colors[w]})
+                if sat > best_sat:
+                    v, best_sat = u, sat
+        forbidden = {colors[u] for u in g.neighbors(v)}
+        for c in range(1, min(k, used + 1) + 1):
+            if c in forbidden:
+                continue
+            colors[v] = c
+            if solve(remaining - 1, max(used, c)):
+                return True
+            colors[v] = 0
+        return False
+
+    if solve(len(verts), 0):
+        return Coloring(k, tuple(colors))
+    return None
+
+
+def test_find_k_coloring_matches_reference():
+    rng = random.Random(3301)
+    outcomes = set()
+    for _ in range(300):
+        n = rng.randint(0, 14)
+        g = random_graph(rng, n, rng.choice([0.2, 0.35, 0.5, 0.7, 0.85]))
+        subset = [v for v in range(n) if rng.random() < 0.7]
+        for k in range(1, 6):
+            for on in (None, subset):
+                got = find_k_coloring(g, k, on)
+                assert got == _find_k_coloring_reference(g, k, on), (n, sorted(g.edges()), k, on)
+                outcomes.add(got is None)
+    assert outcomes == {True, False}
+
+
 # --- Kempe machinery -----------------------------------------------------------
 
 

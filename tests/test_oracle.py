@@ -1,9 +1,12 @@
+import inspect
 import itertools
 import random
+import sys
 
 import networkx as nx
 import pytest
 
+from chidelta.coloring import find_k_coloring, is_proper
 from chidelta.graph import cycle_power, graph_from_edges, max_degree
 from chidelta.oracle import (
     CliqueWitness,
@@ -58,6 +61,25 @@ def test_find_clique_is_lexicographically_least():
 def test_find_clique_rejects_bad_k():
     with pytest.raises(ValueError):
         find_clique(k_n(3), 0)
+
+
+def test_searches_do_not_recurse():
+    # each search goes deeper than the 30 spare frames allowed here: a
+    # recursive search raises RecursionError, an iterative one finishes
+    squared = cycle_power(61, 2)
+    k40 = k_n(40)
+    c61 = cycle_power(61, 1)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 30)
+    try:
+        coloring = find_k_coloring(squared, 4)
+        clique = find_clique(k40, 40)
+        holes = list(odd_holes(c61))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert coloring is not None and is_proper(squared, coloring)
+    assert clique == set(range(40))
+    assert holes == [tuple(range(61))]
 
 
 # --- find_high_odd_hole -----------------------------------------------------------

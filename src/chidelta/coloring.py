@@ -255,13 +255,14 @@ def shortest_path_in_chain(
     return None
 
 
-def extract_vertex_critical(g: Graph) -> frozenset[int]:
+def extract_vertex_critical(g: Graph, chi: int | None = None) -> frozenset[int]:
     """Vertex set of a vertex-critical subgraph with the same chromatic number.
 
-    Computes the chromatic number chi once, then one scan in ascending vertex
-    order deletes every vertex whose removal keeps chi.  Deleting vertices
-    never raises chi, so v can go exactly when the remaining vertices admit
-    no (chi - 1)-coloring.  `_colourable` decides that the same way
+    Takes the chromatic number chi of g from a caller that already has it,
+    or computes it once; then one scan in ascending vertex order deletes
+    every vertex whose removal keeps chi.  Deleting vertices never raises
+    chi, so v can go exactly when the remaining vertices admit no
+    (chi - 1)-coloring.  `_colourable` decides that the same way
     `chromatic_number` does: peel to the (chi - 1)-core, bound by a greedy
     clique, then one exact search on the core.  One pass suffices: a vertex
     found necessary in a superset stays necessary in every later subset, so
@@ -269,7 +270,7 @@ def extract_vertex_critical(g: Graph) -> frozenset[int]:
     """
     if g.n == 0:
         raise ValueError("empty graph")
-    target = chromatic_number(g)
+    target = chromatic_number(g) if chi is None else chi
     keep = list(range(g.n))
     for v in range(g.n):
         trial = [u for u in keep if u != v]

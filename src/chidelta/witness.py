@@ -533,7 +533,7 @@ def _derive_witness(g: Graph) -> Certificate:
             raise ContractError("triangle-free 3-chromatic graph has no odd cycle")
         return HighOddHoleWitness(cycle)
 
-    keep = sorted(extract_vertex_critical(g))
+    keep = sorted(extract_vertex_critical(g, chi))
     sub, _ = induced_subgraph(g, keep)
     sub_delta = max_degree(sub)
     if sub_delta == delta - 1:

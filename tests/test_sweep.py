@@ -2,6 +2,9 @@ import itertools
 import json
 import math
 import multiprocessing.pool
+import random
+import time
+from pathlib import Path
 
 import networkx as nx
 import pytest
@@ -16,7 +19,14 @@ from chidelta.certificate import (
     deserialize_certificate,
     serialize_certificate,
 )
-from chidelta.graph import decode_graph6, encode_graph6, graph_from_edges, is_connected
+from chidelta.graph import (
+    complement,
+    cycle_power,
+    decode_graph6,
+    encode_graph6,
+    graph_from_edges,
+    is_connected,
+)
 from chidelta.oracle import (
     CliqueWitness,
     ExceptionalC7Complement,
@@ -30,7 +40,7 @@ from chidelta.sweep import (
 )
 from chidelta.witness import ContractError, find_witness
 
-from conftest import to_nx
+from conftest import k_n, random_graph, to_nx
 
 KNOWN_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
 
@@ -85,9 +95,129 @@ def labeled_connected_count(n):
 # --- generation ----------------------------------------------------------------
 
 
-@pytest.mark.parametrize("n", range(1, 8))
+CORPUS_N8 = Path(__file__).resolve().parents[1] / "bench" / "data" / "connected_n8.g6"
+
+
+@pytest.mark.parametrize("n", range(1, 9))
 def test_generation_counts(n):
     assert sum(1 for _ in generate_connected_graphs(n)) == KNOWN_COUNTS[n]
+
+
+def test_generation_keeps_pinned_representatives():
+    # the first-seen representative of every class, in order, for n = 1..8
+    pinned = CORPUS_N8.read_text(encoding="ascii").splitlines()
+    generated = [encode_graph6(g) for n in range(1, 9) for g in generate_connected_graphs(n)]
+    assert len(pinned) == 12113
+    assert generated == pinned
+
+
+def _rows(g):
+    return tuple(g.adjacency_mask(v) for v in range(g.n))
+
+
+def _code(g):
+    return sweep_mod._canonical_code(g.n, _rows(g))
+
+
+def _relabel(g, perm):
+    return graph_from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def _shuffled(rng, n):
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return perm
+
+
+def _key_samples():
+    # seeded random graphs with n <= 9 and some highly symmetric ones
+    rng = random.Random(20251)
+    graphs = [random_graph(rng, rng.randint(1, 9), rng.choice([0.2, 0.5, 0.8])) for _ in range(60)]
+    graphs += [
+        k_n(8),
+        k_n(9),
+        cycle_power(9, 2),
+        cycle_power(8, 1),
+        complement(cycle_power(8, 1)),
+        graph_from_edges(8, [(i, j) for i in range(4) for j in range(4, 8)]),
+        graph_from_edges(9, []),
+    ]
+    return graphs
+
+
+def test_canonical_code_invariant_under_relabelling():
+    for g in _key_samples():
+        rng = random.Random(encode_graph6(g))
+        code = _code(g)
+        for _ in range(5):
+            assert _code(_relabel(g, _shuffled(rng, g.n))) == code, encode_graph6(g)
+
+
+def _degree_preserving_swap(rng, g):
+    # one random double-edge swap: same degree sequence, often another class
+    edges = list(g.edges())
+    for _ in range(20):
+        (a, b), (c, d) = rng.sample(edges, 2)
+        if len({a, b, c, d}) == 4 and not g.has_edge(a, d) and not g.has_edge(c, b):
+            kept = [e for e in edges if e not in ((a, b), (c, d))]
+            return graph_from_edges(g.n, kept + [(a, d), (c, b)])
+    return g
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_canonical_code_separates_exactly_the_classes(seed):
+    # pairs with equal degree sequences, so only the code can tell them apart
+    rng = random.Random(seed)
+    for _ in range(40):
+        g = random_graph(rng, rng.randint(5, 9), rng.choice([0.3, 0.5, 0.7]))
+        if g.edge_count() < 2:
+            continue
+        h = _relabel(_degree_preserving_swap(rng, g), _shuffled(rng, g.n))
+        assert (_code(g) == _code(h)) == nx.is_isomorphic(to_nx(g), to_nx(h))
+
+
+def test_canonical_code_matches_minimum_permutation_code():
+    # regular graphs form one cell, so the code is the minimum over all orderings
+    for g in (cycle_power(7, 1), cycle_power(7, 2), complement(cycle_power(7, 1)), k_n(5)):
+        assert _code(g) == minperm_code(g)
+
+
+def test_pruning_uses_only_automorphisms():
+    found = 0
+    for g in _key_samples():
+        for perm in sweep_mod._search(g.n, _rows(g))[1]:
+            found += 1
+            assert sorted(perm) == list(range(g.n)), encode_graph6(g)
+            for u, v in itertools.combinations(range(g.n), 2):
+                assert g.has_edge(u, v) == g.has_edge(perm[u], perm[v]), encode_graph6(g)
+    assert found
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_pruned_masks_give_children_already_seen(n):
+    # every skipped neighbour mask of the new vertex yields a child isomorphic
+    # to that of a smaller mask that is kept, so no class loses its first child
+    skipped = 0
+    for parent in generate_connected_graphs(n):
+        kept = sweep_mod._orbit_minima(n, sweep_mod._search(n, _rows(parent))[1])
+        assert kept == sorted(set(kept))
+        first = {}
+        for mask in range(1, 1 << n):
+            edges = list(parent.edges()) + [(v, n) for v in range(n) if mask >> v & 1]
+            code = _code(graph_from_edges(n + 1, edges))
+            if mask in kept:
+                first.setdefault(code, mask)
+            else:
+                skipped += 1
+                assert first.get(code, mask) < mask
+    assert skipped
+
+
+def test_pruning_a_complete_parent_is_fast():
+    started = time.perf_counter()
+    kept = sweep_mod._orbit_minima(8, sweep_mod._search(8, _rows(k_n(8)))[1])
+    assert time.perf_counter() - started < 1.0
+    assert kept == [(1 << k) - 1 for k in range(1, 9)]
 
 
 def test_generation_rejects_out_of_range():

@@ -232,6 +232,24 @@ def test_find_witness_splits_each_vertex_once(monkeypatch, n):
     assert calls == list(range(n))
 
 
+def test_find_witness_computes_chi_once(monkeypatch):
+    # find_witness hands its chi to the critical scan instead of recomputing it
+    import chidelta.coloring as coloring_mod
+
+    calls = []
+    original = coloring_mod.chromatic_number
+
+    def counting(h):
+        calls.append(h.n)
+        return original(h)
+
+    monkeypatch.setattr(coloring_mod, "chromatic_number", counting)
+    monkeypatch.setattr(witness_mod, "chromatic_number", counting)
+    g = cycle_power(16, 2)
+    assert isinstance(find_witness(g), HighOddHoleWitness)
+    assert calls == [16]
+
+
 def _relabelled_square(n, copy):
     perm = list(range(n))
     random.Random(f"squared-cycle:{n}:{copy}").shuffle(perm)

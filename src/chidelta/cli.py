@@ -151,8 +151,6 @@ def _cmd_sweep(args) -> int:
             raise _UsageError(
                 f"${JOBS_ENV} must be an integer, got {os.environ[JOBS_ENV]!r}"
             ) from None
-    if jobs < 1:
-        raise _UsageError(f"--jobs must be positive, got {jobs}")
     corpus = None
     if args.corpus:
         try:

@@ -1,5 +1,7 @@
 import io
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -168,6 +170,12 @@ def test_sweep_rejects_non_integer_jobs_env(capsys, monkeypatch):
     assert code == EX_USAGE and "CHIDELTA_JOBS" in err
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_sweep_rejects_nonpositive_jobs(capsys, jobs):
+    code, out, err = run(capsys, "sweep", "--max-n", "3", "--jobs", jobs)
+    assert code == EX_USAGE and "jobs" in err and out == ""
+
+
 def test_sweep_corpus_option(capsys, tmp_path):
     corpus = tmp_path / "c.g6"
     corpus.write_text(C7C_LINE + "\n")
@@ -235,3 +243,36 @@ def test_missing_required_flag_is_usage_error(capsys):
 def test_help_exits_zero(capsys):
     code, out, _ = run(capsys, "--help")
     assert code == 0 and "chidelta" in out
+
+
+# --- README ----------------------------------------------------------------
+
+
+def _readme_examples():
+    """(argv, shown output) of each `$ chidelta ...` line in README.md that
+    has output shown below it, up to the next prompt or the end of its block."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    examples, current = [], None
+    for line in text.splitlines():
+        if line.startswith("$ chidelta "):
+            current = (shlex.split(line)[2:], [])
+            examples.append(current)
+        elif line.startswith(("$", "```")):
+            current = None
+        elif current is not None:
+            current[1].append(line)
+    return [(argv, "\n".join(shown) + "\n") for argv, shown in examples if shown]
+
+
+README_EXAMPLES = _readme_examples()
+
+
+def test_readme_examples_found():
+    # the sweep example shows no output and is not run
+    assert [argv[0] for argv, _ in README_EXAMPLES] == ["gen", "witness"]
+
+
+@pytest.mark.parametrize("argv, shown", README_EXAMPLES, ids=[a[0] for a, _ in README_EXAMPLES])
+def test_readme_example_output(capsys, argv, shown):
+    code, out, _ = run(capsys, *argv)
+    assert code == EX_OK and out == shown

@@ -9,6 +9,7 @@ from pathlib import Path
 import networkx as nx
 import pytest
 
+import chidelta.generate as generate_mod
 import chidelta.sweep as sweep_mod
 import chidelta.witness as witness_mod
 from chidelta.cli import EX_REJECT, cli_dispatch
@@ -116,7 +117,7 @@ def _rows(g):
 
 
 def _code(g):
-    return sweep_mod._canonical_code(g.n, _rows(g))
+    return generate_mod._canonical_code(g.n, _rows(g))
 
 
 def _relabel(g, perm):
@@ -185,7 +186,7 @@ def test_canonical_code_matches_minimum_permutation_code():
 def test_pruning_uses_only_automorphisms():
     found = 0
     for g in _key_samples():
-        for perm in sweep_mod._search(g.n, _rows(g))[1]:
+        for perm in generate_mod._search(g.n, _rows(g))[1]:
             found += 1
             assert sorted(perm) == list(range(g.n)), encode_graph6(g)
             for u, v in itertools.combinations(range(g.n), 2):
@@ -199,7 +200,7 @@ def test_pruned_masks_give_children_already_seen(n):
     # to that of a smaller mask that is kept, so no class loses its first child
     skipped = 0
     for parent in generate_connected_graphs(n):
-        kept = sweep_mod._orbit_minima(n, sweep_mod._search(n, _rows(parent))[1])
+        kept = generate_mod._orbit_minima(n, generate_mod._search(n, _rows(parent))[1])
         assert kept == sorted(set(kept))
         first = {}
         for mask in range(1, 1 << n):
@@ -215,7 +216,7 @@ def test_pruned_masks_give_children_already_seen(n):
 
 def test_pruning_a_complete_parent_is_fast():
     started = time.perf_counter()
-    kept = sweep_mod._orbit_minima(8, sweep_mod._search(8, _rows(k_n(8)))[1])
+    kept = generate_mod._orbit_minima(8, generate_mod._search(8, _rows(k_n(8)))[1])
     assert time.perf_counter() - started < 1.0
     assert kept == [(1 << k) - 1 for k in range(1, 9)]
 
@@ -480,3 +481,9 @@ def test_sweep_rejects_bad_parameters():
         theorem_sweep(10, "both")
     with pytest.raises(ValueError):
         theorem_sweep(5, "guess")
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_sweep_rejects_nonpositive_jobs(jobs):
+    with pytest.raises(ValueError, match="jobs"):
+        theorem_sweep(3, jobs=jobs)

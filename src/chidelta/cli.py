@@ -18,10 +18,11 @@ from .certificate import (
     certificate_text,
     deserialize_certificate,
     serialize_certificate,
+    verify_certificate,
 )
 from .coloring import chromatic_number
 from .graph import GraphError, cycle_power, decode_graph6, encode_graph6, max_degree
-from .oracle import oracle_witness, verify_certificate
+from .oracle import oracle_witness
 from .sweep import SweepError, theorem_sweep
 from .witness import ContractError, find_witness
 
@@ -73,13 +74,7 @@ def _build_parser() -> _Parser:
 
 
 def _read_graph(arg: str) -> str:
-    if arg == "-":
-        try:
-            line = sys.stdin.readline()
-        except OSError as exc:
-            raise IOError(str(exc)) from exc
-        return line
-    return arg
+    return sys.stdin.readline() if arg == "-" else arg
 
 
 def _cmd_witness(args) -> int:
@@ -124,11 +119,8 @@ def _cmd_chi(args) -> int:
 
 def _cmd_verify(args) -> int:
     g = decode_graph6(_read_graph(args.graph))
-    try:
-        with open(args.certificate, "rb") as fh:
-            data = fh.read()
-    except OSError as exc:
-        raise IOError(str(exc)) from exc
+    with open(args.certificate, "rb") as fh:
+        data = fh.read()
     try:
         cert = deserialize_certificate(data.decode("utf-8"))
     except (UnicodeDecodeError, SerializationError) as exc:
@@ -153,13 +145,10 @@ def _cmd_sweep(args) -> int:
             ) from None
     corpus = None
     if args.corpus:
-        try:
-            # undecodable bytes survive as surrogates, which the graph6
-            # decoder rejects with the corpus line number
-            with open(args.corpus, encoding="utf-8", errors="surrogateescape") as fh:
-                corpus = fh.readlines()
-        except OSError as exc:
-            raise IOError(str(exc)) from exc
+        # undecodable bytes survive as surrogates, which the graph6
+        # decoder rejects with the corpus line number
+        with open(args.corpus, encoding="utf-8", errors="surrogateescape") as fh:
+            corpus = fh.readlines()
     try:
         report = theorem_sweep(
             args.max_n, method=args.method, min_n=args.min_n, jobs=jobs, corpus=corpus
@@ -174,11 +163,8 @@ def _cmd_sweep(args) -> int:
         raise _UsageError(str(exc)) from exc
     print(report.to_text())
     if args.json_out:
-        try:
-            with open(args.json_out, "w", encoding="utf-8") as fh:
-                fh.write(report.to_json() + "\n")
-        except OSError as exc:
-            raise IOError(str(exc)) from exc
+        with open(args.json_out, "w", encoding="utf-8") as fh:
+            fh.write(report.to_json() + "\n")
     return EX_OK if report.ok else EX_REJECT
 
 
@@ -214,7 +200,7 @@ def cli_dispatch(argv: list[str]) -> int:
     except (GraphError, ContractError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_CONTRACT
-    except IOError as exc:
+    except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EX_IOERR
 

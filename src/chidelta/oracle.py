@@ -1,35 +1,22 @@
-"""Brute-force certificate search and verification, independent of the probe path.
+"""Brute-force certificate search, independent of the probe path.
 
 Everything here is exhaustive search over small graphs: backtracking clique
 search with bitmask intersection pruning, anchored chordless-cycle
 enumeration for high odd holes, and direct structural recognition of the
 7-vertex exceptional graph.  Both searches backtrack over explicit stacks,
 so their depth is not bounded by the interpreter's recursion limit.
-`verify_certificate` checks any certificate (the types live in
-`certificate`) from first principles and is the ground truth the rest of the
-system is validated against: `find_witness` calls it once on its own result,
-and the sweep and the CLI call it on every oracle certificate.
+`oracle_witness` returns an unchecked certificate; its callers verify it
+with the checker in `certificate`, where the types are defined.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
 from .certificate import Certificate, CliqueWitness, ExceptionalC7Complement, HighOddHoleWitness
+# re-exported for bench/run.py, which imports the checker from here
+from .certificate import verify_certificate  # noqa: F401
 from .graph import Graph, complement, max_degree
-
-
-@dataclass(frozen=True)
-class Verdict:
-    ok: bool
-    reason: str | None = None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-_ACCEPT = Verdict(True)
 
 
 def find_clique(g: Graph, k: int) -> frozenset[int] | None:
@@ -146,81 +133,6 @@ def is_c7_complement(g: Graph) -> tuple[int, ...] | None:
     for pos, v in enumerate(order):
         positions[v] = pos
     return tuple(positions)
-
-
-def _verify_clique(g: Graph, cert: CliqueWitness) -> Verdict:
-    verts = sorted(cert.vertices)
-    if any(not 0 <= v < g.n for v in verts):
-        return Verdict(False, "vertex out of range")
-    want = max_degree(g)
-    if len(verts) != want:
-        return Verdict(False, f"clique size {len(verts)} != max degree {want}")
-    for i, u in enumerate(verts):
-        for w in verts[i + 1:]:
-            if not g.has_edge(u, w):
-                return Verdict(False, f"adjacency violated: {u} !~ {w}")
-    return _ACCEPT
-
-
-def _verify_hole(g: Graph, cert: HighOddHoleWitness) -> Verdict:
-    cycle = cert.cycle
-    if any(not 0 <= v < g.n for v in cycle):
-        return Verdict(False, "vertex out of range")
-    if len(cycle) < 5:
-        return Verdict(False, f"cycle length {len(cycle)} below 5")
-    if len(set(cycle)) != len(cycle):
-        return Verdict(False, "repeated vertex in cycle")
-    k = len(cycle)
-    for i in range(k):
-        u, w = cycle[i], cycle[(i + 1) % k]
-        if not g.has_edge(u, w):
-            return Verdict(False, f"adjacency violated: {u} !~ {w}")
-    for i in range(k):
-        for j in range(i + 2, k):
-            if i == 0 and j == k - 1:
-                continue
-            if g.has_edge(cycle[i], cycle[j]):
-                return Verdict(False, f"chord present: {cycle[i]} ~ {cycle[j]}")
-    if k % 2 == 0:
-        return Verdict(False, "cycle length is even")
-    floor = max_degree(g) - 1
-    for v in cycle:
-        if g.degree(v) < floor:
-            return Verdict(False, f"degree below floor at {v}")
-    return _ACCEPT
-
-
-def _verify_c7(g: Graph, cert: ExceptionalC7Complement) -> Verdict:
-    positions = cert.positions
-    if g.n != 7:
-        return Verdict(False, f"graph order {g.n} is not 7")
-    if len(positions) != 7 or sorted(positions) != list(range(7)):
-        return Verdict(False, "position map is not a bijection onto 0..6")
-    for u in range(7):
-        for w in range(u + 1, 7):
-            d = abs(positions[u] - positions[w])
-            d = min(d, 7 - d)
-            if d in (2, 3):
-                if not g.has_edge(u, w):
-                    return Verdict(False, f"adjacency violated: {u} !~ {w}")
-            elif g.has_edge(u, w):
-                return Verdict(False, f"chord present: {u} ~ {w}")
-    return _ACCEPT
-
-
-def verify_certificate(g: Graph, cert: Certificate) -> Verdict:
-    """Accept iff the certificate's defining conditions hold in g.
-
-    Rejection reports the first violated condition, checked in the order:
-    size, adjacency, chord, parity, degree floor.
-    """
-    if isinstance(cert, CliqueWitness):
-        return _verify_clique(g, cert)
-    if isinstance(cert, HighOddHoleWitness):
-        return _verify_hole(g, cert)
-    if isinstance(cert, ExceptionalC7Complement):
-        return _verify_c7(g, cert)
-    return Verdict(False, f"unknown certificate type {type(cert).__name__}")
 
 
 def oracle_witness(g: Graph) -> Certificate | None:

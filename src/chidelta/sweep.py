@@ -9,11 +9,11 @@ from dataclasses import asdict, dataclass, field
 from typing import Iterable, Iterator
 
 # deserialize_certificate is re-exported: bench/run.py imports it from here.
-from .certificate import certificate_kind, deserialize_certificate  # noqa: F401
+from .certificate import certificate_kind, deserialize_certificate, verify_certificate  # noqa: F401
 from .coloring import chromatic_number
 from .generate import GENERATION_CAP, generate_connected_graphs
 from .graph import GraphError, decode_graph6, encode_graph6, max_degree
-from .oracle import oracle_witness, verify_certificate
+from .oracle import oracle_witness
 from .witness import ContractError, find_witness
 
 
@@ -141,8 +141,6 @@ def _sweep_task(args: tuple[str, str]) -> dict:
         if encode_graph6(g) != line:
             rec["error"] = "graph6 round trip mismatch"
             return rec
-        if g.n == 0:
-            return rec
         if chromatic_number(g) != max_degree(g):
             return rec
         rec["cohort"] = True
@@ -216,8 +214,9 @@ def theorem_sweep(
         raise ValueError(f"unknown method {method!r}")
     if jobs < 1:
         raise ValueError(f"jobs must be positive, got {jobs}")
-    if corpus is None and not 1 <= min_n <= max_n <= GENERATION_CAP:
-        raise ValueError(f"order range {min_n}..{max_n} outside 1..{GENERATION_CAP}")
+    cap = GENERATION_CAP if corpus is None else max_n
+    if not 1 <= min_n <= max_n <= cap:
+        raise ValueError(f"order range {min_n}..{max_n} outside 1..{cap}")
     by_order = _corpus_by_order(corpus) if corpus is not None else None
     report = SweepReport(min_n, max_n, method, jobs, by_order is None)
     pool = multiprocessing.Pool(jobs) if jobs > 1 else None

@@ -16,7 +16,9 @@ import logging
 from dataclasses import dataclass
 from typing import Union
 
-from .certificate import Certificate, CliqueWitness, ExceptionalC7Complement, HighOddHoleWitness
+from .certificate import (
+    Certificate, CliqueWitness, ExceptionalC7Complement, HighOddHoleWitness, verify_certificate
+)
 from .coloring import (
     Coloring,
     chromatic_number,
@@ -26,7 +28,7 @@ from .coloring import (
     shortest_path_in_chain,
 )
 from .graph import Graph, cycle_power, induced_subgraph, is_connected, max_degree, min_degree
-from .oracle import find_clique, is_c7_complement, odd_holes, oracle_witness, verify_certificate
+from .oracle import find_clique, is_c7_complement, odd_holes, oracle_witness
 
 log = logging.getLogger(__name__)
 

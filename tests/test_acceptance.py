@@ -12,6 +12,7 @@ import pytest
 from _pytest.monkeypatch import MonkeyPatch
 
 import chidelta.witness as witness_mod
+from chidelta.certificate import CliqueWitness, HighOddHoleWitness, verify_certificate
 from chidelta.coloring import (
     chromatic_number,
     find_k_coloring,
@@ -22,13 +23,10 @@ from chidelta.coloring import (
 from chidelta.coloring import Coloring
 from chidelta.graph import cycle_power, max_degree
 from chidelta.oracle import (
-    CliqueWitness,
-    HighOddHoleWitness,
     find_clique,
     find_high_odd_hole,
     is_c7_complement,
     oracle_witness,
-    verify_certificate,
 )
 from chidelta.sweep import theorem_sweep
 from chidelta.witness import (

@@ -5,10 +5,9 @@ from pathlib import Path
 
 import pytest
 
-from chidelta.certificate import serialize_certificate
+from chidelta.certificate import CliqueWitness, HighOddHoleWitness, serialize_certificate
 from chidelta.cli import EX_CONTRACT, EX_IOERR, EX_OK, EX_REJECT, EX_USAGE, cli_dispatch
 from chidelta.graph import cycle_power, encode_graph6
-from chidelta.oracle import CliqueWitness, HighOddHoleWitness
 
 from conftest import c7_complement
 
@@ -188,6 +187,30 @@ def test_sweep_corpus_option(capsys, tmp_path):
 def test_sweep_bad_range_is_usage_error(capsys):
     code, _, err = run(capsys, "sweep", "--max-n", "12")
     assert code == EX_USAGE and "usage error" in err
+
+
+@pytest.mark.parametrize("min_n,max_n", [("5", "2"), ("-3", "1")])
+def test_sweep_corpus_bad_range_is_usage_error(capsys, tmp_path, min_n, max_n):
+    corpus = tmp_path / "c.g6"
+    corpus.write_text(C7C_LINE + "\n")
+    code, out, err = run(
+        capsys, "sweep", "--min-n", min_n, "--max-n", max_n, "--corpus", str(corpus)
+    )
+    assert code == EX_USAGE and "order range" in err and out == ""
+
+
+def test_sweep_missing_corpus_is_io_error(capsys, tmp_path):
+    code, out, err = run(
+        capsys, "sweep", "--max-n", "3", "--corpus", str(tmp_path / "nope.g6")
+    )
+    assert code == EX_IOERR and err.startswith("i/o error: [Errno") and out == ""
+
+
+def test_sweep_unwritable_json_is_io_error(capsys, tmp_path):
+    code, _, err = run(
+        capsys, "sweep", "--max-n", "3", "--json", str(tmp_path / "missing" / "report.json")
+    )
+    assert code == EX_IOERR and err.startswith("i/o error: [Errno")
 
 
 def test_sweep_malformed_corpus_is_contract_error(capsys, tmp_path):

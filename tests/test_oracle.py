@@ -6,18 +6,21 @@ import sys
 import networkx as nx
 import pytest
 
-from chidelta.coloring import find_k_coloring, is_proper
-from chidelta.graph import cycle_power, graph_from_edges, max_degree
-from chidelta.oracle import (
+from chidelta.certificate import (
     CliqueWitness,
     ExceptionalC7Complement,
     HighOddHoleWitness,
+    Verdict,
+    verify_certificate,
+)
+from chidelta.coloring import find_k_coloring, is_proper
+from chidelta.graph import cycle_power, graph_from_edges, max_degree
+from chidelta.oracle import (
     find_clique,
     find_high_odd_hole,
     is_c7_complement,
     odd_holes,
     oracle_witness,
-    verify_certificate,
 )
 
 from conftest import c7_complement, k_n, petersen, random_graph, to_nx
@@ -197,6 +200,10 @@ def test_verify_c7_certificate():
     assert not v.ok
     v = verify_certificate(k_n(4), good)
     assert not v.ok and "order" in v.reason
+
+
+def test_verify_rejects_unknown_certificate_type():
+    assert verify_certificate(k_n(4), object()) == Verdict(False, "unknown certificate type object")
 
 
 # --- oracle_witness -----------------------------------------------------------------

@@ -3,6 +3,7 @@ import json
 import math
 import multiprocessing.pool
 import random
+import re
 import time
 from pathlib import Path
 
@@ -14,7 +15,11 @@ import chidelta.sweep as sweep_mod
 import chidelta.witness as witness_mod
 from chidelta.cli import EX_REJECT, cli_dispatch
 from chidelta.certificate import (
+    CliqueWitness,
+    ExceptionalC7Complement,
+    HighOddHoleWitness,
     SerializationError,
+    Verdict,
     certificate_kind,
     certificate_text,
     deserialize_certificate,
@@ -27,12 +32,6 @@ from chidelta.graph import (
     encode_graph6,
     graph_from_edges,
     is_connected,
-)
-from chidelta.oracle import (
-    CliqueWitness,
-    ExceptionalC7Complement,
-    HighOddHoleWitness,
-    Verdict,
 )
 from chidelta.sweep import (
     SweepError,
@@ -487,3 +486,16 @@ def test_sweep_rejects_bad_parameters():
 def test_sweep_rejects_nonpositive_jobs(jobs):
     with pytest.raises(ValueError, match="jobs"):
         theorem_sweep(3, jobs=jobs)
+
+
+@pytest.mark.parametrize(
+    "min_n,max_n,corpus,message",
+    [
+        (5, 2, None, "order range 5..2 outside 1..9"),
+        (5, 2, ["C~"], "order range 5..2 outside"),
+        (-3, 1, ["C~"], "order range -3..1 outside"),
+    ],
+)
+def test_sweep_rejects_bad_order_range(min_n, max_n, corpus, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        theorem_sweep(max_n, "both", min_n=min_n, corpus=corpus)

@@ -4,6 +4,12 @@ import random
 import pytest
 
 import chidelta.witness as witness_mod
+from chidelta.certificate import (
+    CliqueWitness,
+    ExceptionalC7Complement,
+    HighOddHoleWitness,
+    verify_certificate,
+)
 from chidelta.coloring import Coloring, chromatic_number, is_proper
 from chidelta.graph import (
     cycle_power,
@@ -11,14 +17,9 @@ from chidelta.graph import (
     graph_from_edges,
     induced_subgraph,
     max_degree,
+    min_degree,
 )
-from chidelta.oracle import (
-    CliqueWitness,
-    ExceptionalC7Complement,
-    HighOddHoleWitness,
-    oracle_witness,
-    verify_certificate,
-)
+from chidelta.oracle import oracle_witness
 from chidelta.witness import (
     Adjacent,
     ContractError,
@@ -429,6 +430,43 @@ def test_find_witness_brooks_branch():
     g = graph_from_edges(5, [(i, j) for i in range(4) for j in range(i + 1, 4)] + [(0, 4)])
     w = find_witness(g)
     assert w == CliqueWitness(frozenset({0, 1, 2, 3}))
+
+
+def _relabelled_circulant(n, jumps, copy):
+    perm = list(range(n))
+    random.Random(f"circulant:{n}:{jumps}:{copy}").shuffle(perm)
+    return graph_from_edges(n, [(perm[i], perm[(i + s) % n]) for i in range(n) for s in jumps])
+
+
+# Every connected, vertex-critical circulant on 7..18 vertices with
+# chi = delta >= 5 and no K_delta (two isomorphism classes).  The regular
+# split sweep must certify each one without the oracle fallback.
+@pytest.mark.parametrize("copy", [1, 2])
+@pytest.mark.parametrize(
+    "n,jumps",
+    [
+        (11, (1, 2, 3)),
+        (11, (1, 3, 4)),
+        (11, (1, 4, 5)),
+        (11, (2, 3, 5)),
+        (11, (2, 4, 5)),
+        (15, (1, 4, 5, 6)),
+        (15, (2, 3, 5, 7)),
+    ],
+)
+def test_find_witness_high_degree_circulants_skip_oracle(monkeypatch, n, jumps, copy):
+    g = _relabelled_circulant(n, jumps, copy)
+    assert min_degree(g) == max_degree(g) >= 5
+    calls = []
+
+    def spy(h):
+        calls.append(h)
+        return oracle_witness(h)
+
+    monkeypatch.setattr(witness_mod, "oracle_witness", spy)
+    w = find_witness(g)
+    assert isinstance(w, HighOddHoleWitness) and verify_certificate(g, w).ok
+    assert calls == []
 
 
 def test_find_witness_rejects_bad_inputs():

@@ -32,13 +32,14 @@ class Graph:
                 raise GraphError(f"vertex {v} has a neighbour outside [0, {n})")
             if row >> v & 1:
                 raise GraphError(f"loop at vertex {v}")
-        for v, row in enumerate(adj):
-            for u in _bits(row):
+        nbrs = tuple(map(_bits, adj))
+        for v, row in enumerate(nbrs):
+            for u in row:
                 if not adj[u] >> v & 1:
                     raise GraphError(f"asymmetric adjacency between {u} and {v}")
         self.n = n
         self._adj = adj
-        self._nbrs = tuple(tuple(_bits(row)) for row in adj)
+        self._nbrs = nbrs
 
     def degree(self, v: int) -> int:
         return self._adj[v].bit_count()
@@ -73,11 +74,21 @@ class Graph:
         return f"Graph(n={self.n}, m={self.edge_count()})"
 
 
-def _bits(mask: int) -> Iterator[int]:
+# _BYTE_BITS[b] lists the set bits of the byte b in ascending order
+_BYTE_BITS = tuple(tuple(i for i in range(8) if b >> i & 1) for b in range(256))
+
+
+def _bits(mask: int) -> tuple[int, ...]:
+    """Set bits of a nonnegative mask in ascending order, a byte at a time."""
+    if mask < 256:
+        return _BYTE_BITS[mask]
+    out: list[int] = []
+    base = 0
     while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+        out += [base + i for i in _BYTE_BITS[mask & 255]]
+        mask >>= 8
+        base += 8
+    return tuple(out)
 
 
 def graph_from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
@@ -154,12 +165,14 @@ def cycle_power(n: int, d: int) -> Graph:
     return Graph(n, adj)
 
 
-def decode_graph6(text: str) -> Graph:
-    """Decode one graph6 line (an optional '>>graph6<<' header is allowed).
+def _parse_graph6(text: str) -> tuple[int, int, int]:
+    """Check one graph6 line (an optional '>>graph6<<' header is allowed).
 
     Layout: length byte 63+n for n <= 62, then the upper-triangle bit vector
     in column-major pair order (0,1),(0,2),(1,2),(0,3),... packed into 6-bit
-    groups offset by 63, zero-padded at the end.
+    groups offset by 63, zero-padded at the end.  Returns the order n, the bit
+    vector as an int (pair (0,1) most significant, padding dropped) and its
+    length n(n-1)/2.
     """
     line = text.strip()
     if line.startswith(GRAPH6_HEADER):
@@ -188,9 +201,19 @@ def decode_graph6(text: str) -> Graph:
     pad = 6 * expected - nbits
     if pad and stream & ((1 << pad) - 1):
         raise GraphError("nonzero padding bits")
-    stream >>= pad
+    return n, stream >> pad, nbits
+
+
+def graph6_order(text: str) -> int:
+    """Order of a graph6 line, checked exactly as `decode_graph6` checks it,
+    without building the graph."""
+    return _parse_graph6(text)[0]
+
+
+def decode_graph6(text: str) -> Graph:
+    """Decode one graph6 line; see `_parse_graph6` for the layout and checks."""
+    n, stream, idx = _parse_graph6(text)
     adj = [0] * n
-    idx = nbits
     for j in range(1, n):
         for i in range(j):
             idx -= 1
@@ -202,19 +225,19 @@ def decode_graph6(text: str) -> Graph:
 
 def encode_graph6(g: Graph) -> str:
     """Encode a graph as a canonical graph6 line (no header)."""
-    if g.n > GRAPH6_MAX_ORDER:
-        raise GraphError(f"order {g.n} exceeds graph6 single-byte range")
-    out = [chr(63 + g.n)]
-    value = 0
-    count = 0
-    for j in range(1, g.n):
+    n = g.n
+    if n > GRAPH6_MAX_ORDER:
+        raise GraphError(f"order {n} exceeds graph6 single-byte range")
+    # the pairs (0, j), ..., (j-1, j) of column j are row j's bits below j
+    adj = g._adj
+    stream = 0
+    for j in range(1, n):
+        row = adj[j]
         for i in range(j):
-            value = value << 1 | (1 if g.has_edge(i, j) else 0)
-            count += 1
-            if count == 6:
-                out.append(chr(63 + value))
-                value = 0
-                count = 0
-    if count:
-        out.append(chr(63 + (value << (6 - count))))
-    return "".join(out)
+            stream = stream << 1 | (row >> i & 1)
+    pairs = n * (n - 1) // 2
+    pad = -pairs % 6
+    stream <<= pad
+    return chr(63 + n) + "".join(
+        chr(63 + (stream >> shift & 63)) for shift in range(pairs + pad - 6, -1, -6)
+    )

@@ -12,7 +12,7 @@ from typing import Iterable, Iterator
 from .certificate import certificate_kind, deserialize_certificate, verify_certificate  # noqa: F401
 from .coloring import chromatic_number
 from .generate import GENERATION_CAP, generate_connected_graphs
-from .graph import GraphError, decode_graph6, encode_graph6, max_degree
+from .graph import GraphError, decode_graph6, encode_graph6, graph6_order, is_connected, max_degree
 from .oracle import oracle_witness
 from .witness import ContractError, find_witness
 
@@ -141,6 +141,9 @@ def _sweep_task(args: tuple[str, str]) -> dict:
         if encode_graph6(g) != line:
             rec["error"] = "graph6 round trip mismatch"
             return rec
+        if not is_connected(g):
+            rec["error"] = "graph is disconnected"
+            return rec
         if chromatic_number(g) != max_degree(g):
             return rec
         rec["cohort"] = True
@@ -173,7 +176,7 @@ def _corpus_by_order(corpus: Iterable[str]) -> dict[int, list[str]]:
         if not line:
             continue
         try:
-            n = decode_graph6(line).n
+            n = graph6_order(line)
         except GraphError as exc:
             raise GraphError(f"corpus line {number} {line!r}: {exc}") from exc
         by_order.setdefault(n, []).append(line)
@@ -207,8 +210,9 @@ def theorem_sweep(
     counts differ only in `jobs` and each order's `seconds`.  The first
     verification failure, or any other
     exception in the per-graph work, aborts with the offending graph6 line.
-    A corpus is decoded once up front; a malformed line raises GraphError
-    naming its line number.
+    A corpus is checked up front without building graphs (a malformed line
+    raises GraphError naming its line number), then each line is decoded
+    once, in its task; a disconnected graph there is a failure of its line.
     """
     if method not in ("proof", "oracle", "both"):
         raise ValueError(f"unknown method {method!r}")

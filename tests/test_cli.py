@@ -236,6 +236,21 @@ def test_sweep_non_utf8_corpus_names_the_line(capsys, tmp_path):
     assert "corpus line 2 " in err and "malformed length byte" in err
 
 
+@pytest.mark.parametrize("method", ["proof", "oracle", "both"])
+@pytest.mark.parametrize("line", ["Dl?", "A?"])
+def test_sweep_disconnected_corpus_line_is_rejected(capsys, tmp_path, line, method):
+    # C4 plus an isolated vertex, or two isolated vertices: outside the
+    # connected graphs the sweep is defined over, under every method
+    corpus = tmp_path / "c.g6"
+    corpus.write_text(line + "\n")
+    code, out, err = run(
+        capsys, "sweep", "--max-n", "5", "--method", method, "--corpus", str(corpus)
+    )
+    assert code == EX_REJECT and out == ""
+    assert "sweep failed: graph is disconnected" in err
+    assert f"offending graph6 line: {line}\n" in err
+
+
 # --- gen --------------------------------------------------------------------
 
 

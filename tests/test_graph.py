@@ -1,17 +1,20 @@
 import itertools
+import random
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chidelta.graph import (
+    GRAPH6_MAX_ORDER,
     Graph,
     GraphError,
     complement,
     cycle_power,
     decode_graph6,
     encode_graph6,
+    graph6_order,
     graph_from_edges,
     induced_subgraph,
     is_connected,
@@ -19,7 +22,7 @@ from chidelta.graph import (
     min_degree,
 )
 
-from conftest import c7_complement, k_n, naive_graph6_encode, to_nx
+from conftest import c7_complement, k_n, naive_graph6_encode, random_graph, to_nx
 
 
 @st.composite
@@ -76,6 +79,10 @@ def test_constructor_rejects_asymmetry_and_loops():
         Graph(2, (0b10, 0b00))
     with pytest.raises(GraphError):
         Graph(1, (0b1,))
+    # rows 0 and 1 both claim a neighbour that does not claim them back;
+    # the pair named is the first by row, then by neighbour
+    with pytest.raises(GraphError, match="^asymmetric adjacency between 2 and 0$"):
+        Graph(3, (0b100, 0b101, 0b010))
 
 
 # --- graph6 codec ------------------------------------------------------------
@@ -99,25 +106,119 @@ def test_decode_accepts_header():
     assert decode_graph6(">>graph6<<C~") == k_n(4)
 
 
-@pytest.mark.parametrize(
-    "line",
-    [
-        "",  # empty
-        "C~~",  # trailing garbage
-        "C",  # truncated body
-        "~??",  # extended length encoding
-        "C!",  # body character below the graph6 range
-        "B~",  # nonzero padding: n=3 has 3 bits, '~'=111111 pads with 1s
-    ],
-)
+MALFORMED_GRAPH6 = [
+    "",  # empty
+    "C~~",  # trailing garbage
+    "C",  # truncated body
+    "~??",  # extended length encoding
+    "C!",  # body character below the graph6 range
+    "B~",  # nonzero padding: n=3 has 3 bits, '~'=111111 pads with 1s
+]
+
+
+@pytest.mark.parametrize("line", MALFORMED_GRAPH6)
 def test_decode_rejects_malformed(line):
     with pytest.raises(GraphError):
         decode_graph6(line)
 
 
+def _outcome(parse, line):
+    """What parsing `line` gives: ("ok", value) or ("error", GraphError message)."""
+    try:
+        return "ok", parse(line)
+    except GraphError as exc:
+        return "error", str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        graphs(max_n=14).map(encode_graph6),
+        st.text(max_size=8),
+        st.text(alphabet=st.characters(min_codepoint=60, max_codepoint=130), max_size=8),
+    )
+)
+def test_graph6_order_agrees_with_decode(line):
+    # one parser behind both: the same order on valid lines, the same
+    # GraphError message on malformed ones
+    order = _outcome(graph6_order, line)
+    decoded = _outcome(lambda text: decode_graph6(text).n, line)
+    assert order == decoded
+
+
+# every run also tries each malformed line above and a few more
+for _line in MALFORMED_GRAPH6 + ["!!bad", "\udcff\udcfe", ">>graph6<<", ">>graph6<<C~"]:
+    test_graph6_order_agrees_with_decode = example(_line)(test_graph6_order_agrees_with_decode)
+
+
 def test_encode_examples():
     assert encode_graph6(graph_from_edges(1, [])) == "@"
     assert encode_graph6(k_n(4)) == "C~"
+
+
+def test_encode_matches_reference_at_every_order():
+    # n = 0..62 meets every residue n(n-1)/2 can leave mod 6, so every
+    # padding length; empty and complete graphs fill the padded group both ways
+    rng = random.Random(6)
+    residues = set()
+    for n in range(GRAPH6_MAX_ORDER + 1):
+        residues.add(n * (n - 1) // 2 % 6)
+        for g in (graph_from_edges(n, []), k_n(n), random_graph(rng, n)):
+            line = encode_graph6(g)
+            assert line == naive_graph6_encode(g)
+            assert decode_graph6(line) == g
+    assert residues == {0, 1, 3, 4}
+
+
+def _first_graph_error(n, adj):
+    """The message Graph(n, adj) must raise, found by a plain scan: ranges
+    and loops of every row first, then the first asymmetric pair by row,
+    then by neighbour."""
+    for v, row in enumerate(adj):
+        if row >> n:
+            return f"vertex {v} has a neighbour outside [0, {n})"
+        if row >> v & 1:
+            return f"loop at vertex {v}"
+    for v in range(n):
+        for u in range(n):
+            if adj[v] >> u & 1 and not adj[u] >> v & 1:
+                return f"asymmetric adjacency between {u} and {v}"
+    return None
+
+
+@st.composite
+def adjacency_rows(draw):
+    """Rows without loops, often symmetric but for a few planted pairs, and
+    now and then a loop or a bit beyond n."""
+    n = draw(st.integers(min_value=0, max_value=20))
+    rows = draw(st.lists(st.integers(min_value=0, max_value=(1 << n) - 1), min_size=n, max_size=n))
+    rows = [row & ~(1 << v) for v, row in enumerate(rows)]
+    if n > 1 and draw(st.booleans()):
+        rows = [
+            sum(1 << u for u in range(n) if (rows[max(u, v)] >> min(u, v) & 1)) & ~(1 << v)
+            for v in range(n)
+        ]
+        for _ in range(draw(st.integers(1, 3))):
+            v, u = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+            if u != v:
+                rows[v] |= 1 << u
+    if n and draw(st.integers(0, 9)) == 0:
+        rows[draw(st.integers(0, n - 1))] |= 1 << draw(st.integers(0, n + 2))
+    return n, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(adjacency_rows())
+def test_constructor_reports_first_offending_pair(case):
+    n, rows = case
+    expected = _first_graph_error(n, rows)
+    if expected is None:
+        g = Graph(n, rows)
+        assert all(g.neighbors(v) == tuple(u for u in range(n) if rows[v] >> u & 1) for v in range(n))
+    else:
+        with pytest.raises(GraphError) as err:
+            Graph(n, rows)
+        assert str(err.value) == expected
 
 
 def test_encode_rejects_large_order():

@@ -428,6 +428,37 @@ def test_corpus_lines_decoded_at_most_twice(monkeypatch):
     assert len(calls) <= 2 * len(lines)
 
 
+def test_corpus_lines_decoded_once(monkeypatch):
+    # the up-front pass reads each line's order without building its graph
+    lines = [encode_graph6(g) for n in range(1, 7) for g in generate_connected_graphs(n)]
+    calls = []
+    original = sweep_mod.decode_graph6
+
+    def counting(text):
+        calls.append(text)
+        return original(text)
+
+    monkeypatch.setattr(sweep_mod, "decode_graph6", counting)
+    report = theorem_sweep(6, "both", jobs=1, corpus=lines)
+    assert report.ok and report.total_graphs == len(lines)
+    assert len(calls) == len(lines)
+
+
+# C4 plus an isolated vertex, and two isolated vertices
+DISCONNECTED_LINES = ["Dl?", "A?"]
+
+
+@pytest.mark.parametrize("method", ["proof", "oracle", "both"])
+@pytest.mark.parametrize("line", DISCONNECTED_LINES)
+def test_sweep_rejects_disconnected_corpus_line(line, method):
+    g = decode_graph6(line)
+    assert not is_connected(g) and encode_graph6(g) == line
+    with pytest.raises(SweepError) as err:
+        theorem_sweep(5, method, corpus=["C~", line])
+    assert err.value.line == line
+    assert err.value.detail == "graph is disconnected"
+
+
 def test_corpus_keeps_file_order_within_each_order():
     lines = [encode_graph6(g) for g in generate_connected_graphs(4)]
     mixed = [lines[3], "C~", lines[0], encode_graph6(graph_from_edges(2, [(0, 1)]))]

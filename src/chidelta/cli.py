@@ -8,6 +8,7 @@ Exit codes: 0 success (certificate, exceptional graph, or verified accept),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -44,7 +45,10 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    # Built on the first dispatch and reused: parsing keeps its state in the
+    # namespace it returns, not in the parser.
     parser = _Parser(prog="chidelta", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -159,10 +159,11 @@ def _greedy_clique(g: Graph, verts: list[int]) -> list[int]:
     return clique
 
 
-def _colourable(g: Graph, k: int, verts: list[int]) -> bool:
-    # Whether the subgraph induced by the distinct `verts` has a k-coloring.
-    # A vertex with fewer than k neighbours can always be coloured last, so
-    # peel such vertices until none is left: the rest is the k-core, which is
+def _core_coloring(g: Graph, k: int, verts: list[int]) -> tuple[list[int], Coloring | None]:
+    # The k-core of the subgraph induced by the distinct `verts`, and a
+    # k-coloring of it, or None when `verts` has no k-coloring.  A vertex
+    # with fewer than k neighbours can always be coloured last, so peel such
+    # vertices until none is left: the rest is the k-core, which is
     # k-colourable exactly when `verts` is.  A greedy clique of more than k
     # vertices lies inside the core and settles it without a search.
     core = verts
@@ -170,8 +171,15 @@ def _colourable(g: Graph, k: int, verts: list[int]) -> bool:
         inside = sum(1 << v for v in core)
         left = [v for v in core if (g.adjacency_mask(v) & inside).bit_count() >= k]
         if len(left) == len(core):
-            return len(_greedy_clique(g, core)) <= k and find_k_coloring(g, k, core) is not None
+            if len(_greedy_clique(g, core)) > k:
+                return core, None
+            return core, find_k_coloring(g, k, core)
         core = left
+
+
+def _colourable(g: Graph, k: int, verts: list[int]) -> bool:
+    # Whether the subgraph induced by the distinct `verts` has a k-coloring.
+    return _core_coloring(g, k, verts)[1] is not None
 
 
 def chromatic_number(g: Graph) -> int:
@@ -255,18 +263,26 @@ def shortest_path_in_chain(
     return None
 
 
-def extract_vertex_critical(g: Graph, chi: int | None = None) -> frozenset[int]:
+def extract_vertex_critical(
+    g: Graph, chi: int | None = None, colorings: dict[int, Coloring] | None = None
+) -> frozenset[int]:
     """Vertex set of a vertex-critical subgraph with the same chromatic number.
 
     Takes the chromatic number chi of g from a caller that already has it,
     or computes it once; then one scan in ascending vertex order deletes
     every vertex whose removal keeps chi.  Deleting vertices never raises
     chi, so v can go exactly when the remaining vertices admit no
-    (chi - 1)-coloring.  `_colourable` decides that the same way
+    (chi - 1)-coloring.  `_core_coloring` decides that the same way
     `chromatic_number` does: peel to the (chi - 1)-core, bound by a greedy
     clique, then one exact search on the core.  One pass suffices: a vertex
     found necessary in a superset stays necessary in every later subset, so
     a rescan would delete nothing.
+
+    A kept vertex v is kept because the other remaining vertices have a
+    (chi - 1)-coloring.  When peeling removed none of them, that coloring
+    covers the whole trial set, and if `colorings` is given it is stored
+    there under v.  When no vertex before v was deleted, it is the coloring
+    of g - v that `find_k_coloring(g, chi - 1, others)` returns.
     """
     if g.n == 0:
         raise ValueError("empty graph")
@@ -274,6 +290,11 @@ def extract_vertex_critical(g: Graph, chi: int | None = None) -> frozenset[int]:
     keep = list(range(g.n))
     for v in range(g.n):
         trial = [u for u in keep if u != v]
-        if trial and not _colourable(g, target - 1, trial):
+        if not trial:
+            continue
+        core, phi = _core_coloring(g, target - 1, trial)
+        if phi is None:
             keep = trial
+        elif colorings is not None and len(core) == len(trial):
+            colorings[v] = phi
     return frozenset(keep)

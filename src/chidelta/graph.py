@@ -124,13 +124,13 @@ def is_connected(g: Graph) -> bool:
 def max_degree(g: Graph) -> int:
     if g.n == 0:
         raise GraphError("max_degree of the empty graph")
-    return max(g.degree(v) for v in range(g.n))
+    return max(map(int.bit_count, g._adj))
 
 
 def min_degree(g: Graph) -> int:
     if g.n == 0:
         raise GraphError("min_degree of the empty graph")
-    return min(g.degree(v) for v in range(g.n))
+    return min(map(int.bit_count, g._adj))
 
 
 def induced_subgraph(g: Graph, keep: Iterable[int]) -> tuple[Graph, dict[int, int]]:

@@ -206,7 +206,7 @@ def _structural_split(g: Graph, v: int) -> NeighborhoodSplit | Inconsistent:
 
 
 def neighborhood_split(
-    g: Graph, v: int
+    g: Graph, v: int, phi: Coloring | None = None
 ) -> NeighborhoodSplit | Certificate | Inconsistent:
     """Split N(v) of a regular graph into the duplicated-colour pair and a clique.
 
@@ -223,6 +223,10 @@ def neighborhood_split(
     e.g. a squared cycle on 2 mod 3 vertices), the split is instead derived by
     exhaustively checking candidate pairs against the three conditions, which
     keeps the operation total on all squared cycles.
+
+    A caller that already holds the (max degree - 1)-coloring of g - v, such
+    as the critical scan's, passes it as `phi`, and g - v is not coloured
+    again.
     """
     delta = max_degree(g)
     if delta < 4:
@@ -230,9 +234,12 @@ def neighborhood_split(
     if min_degree(g) != delta:
         raise ContractError("graph is not regular")
     others = [u for u in range(g.n) if u != v]
-    phi = find_k_coloring(g, delta - 1, others)
     if phi is None:
-        return _structural_split(g, v)
+        phi = find_k_coloring(g, delta - 1, others)
+        if phi is None:
+            return _structural_split(g, v)
+    elif phi.k != delta - 1 or list(phi.colored_vertices()) != others:
+        raise ContractError(f"given coloring is not a ({delta - 1})-coloring of g minus {v}")
     by_color: dict[int, list[int]] = {}
     for u in g.neighbors(v):
         by_color.setdefault(phi.color_of(u), []).append(u)
@@ -325,12 +332,15 @@ def path_quad(g: Graph, split: NeighborhoodSplit) -> PathQuad | Inconsistent:
     return PathQuad(a1, b1, b2, a2)
 
 
-def _quads(g: Graph) -> dict[int, PathQuad] | Certificate | Inconsistent:
+def _quads(
+    g: Graph, colorings: dict[int, Coloring]
+) -> dict[int, PathQuad] | Certificate | Inconsistent:
     # The path quad at every vertex, in vertex order: split, both attachment
     # checks, then the quad.  The first certificate or Inconsistent ends it.
+    # `colorings` holds colorings of g - v already found, keyed by v.
     quads: dict[int, PathQuad] = {}
     for v in range(g.n):
-        split = neighborhood_split(g, v)
+        split = neighborhood_split(g, v, colorings.get(v))
         if isinstance(split, Inconsistent):
             # The trace also serves instances whose chromatic number is below
             # the degree, where probe colorings are unusable; structure decides.
@@ -349,7 +359,7 @@ def _quads(g: Graph) -> dict[int, PathQuad] | Certificate | Inconsistent:
 
 
 def trace_squared_cycle(
-    g: Graph,
+    g: Graph, colorings: dict[int, Coloring] | None = None
 ) -> SquaredCycleLabeling | Certificate | Inconsistent:
     """Label a 4-regular graph as the square of a cycle, or fail trying.
 
@@ -360,14 +370,15 @@ def trace_squared_cycle(
     previous one.  The walk must visit every vertex exactly once, and every
     vertex's neighbourhood must then be that of its walk position in the
     square of the n-cycle.  The result is the only such labeling with vertex 0
-    at position 0 and b1 at position 1.
+    at position 0 and b1 at position 1.  `colorings` may hold 3-colorings of
+    g - v, keyed by v, for the splits to reuse.
     """
     if g.n == 0 or not is_connected(g):
         raise ContractError("graph must be connected and nonempty")
     if max_degree(g) != 4 or min_degree(g) != 4:
         raise ContractError("graph is not 4-regular")
     n = g.n
-    quads = _quads(g)
+    quads = _quads(g, colorings or {})
     if not isinstance(quads, dict):
         return quads
     walk = [0, quads[0].b1]
@@ -497,10 +508,12 @@ def find_witness(g: Graph) -> Certificate:
     it must be complete; otherwise vertices of deficient degree are probed
     directly.  A regular critical subgraph (necessarily the whole graph) gets
     the path quad at every vertex, in vertex order: neighbourhood split, both
-    attachment checks and the quad, where the first certificate wins.  At
-    degree 4 that sweep is the first half of `trace_squared_cycle`, whose
-    labeling then yields the explicit hole (or the complement of C7); at
-    degree >= 5 a silent sweep falls back to the brute-force oracle.
+    attachment checks and the quad, where the first certificate wins.  Each
+    split probes the coloring of g - v that the critical scan found when it
+    kept v, so no g - v is coloured twice.  At degree 4 that sweep is the
+    first half of `trace_squared_cycle`, whose labeling then yields the
+    explicit hole (or the complement of C7); at degree >= 5 a silent sweep
+    falls back to the brute-force oracle.
 
     The proof route's one check: the certificate is verified against g before
     it is returned, and a rejection raises ContractError.
@@ -535,7 +548,8 @@ def _derive_witness(g: Graph) -> Certificate:
             raise ContractError("triangle-free 3-chromatic graph has no odd cycle")
         return HighOddHoleWitness(cycle)
 
-    keep = sorted(extract_vertex_critical(g, chi))
+    colorings: dict[int, Coloring] = {}
+    keep = sorted(extract_vertex_critical(g, chi, colorings))
     sub, _ = induced_subgraph(g, keep)
     sub_delta = max_degree(sub)
     if sub_delta == delta - 1:
@@ -557,7 +571,7 @@ def _derive_witness(g: Graph) -> Certificate:
             "regular critical subgraph must span the whole connected graph"
         )
     if delta >= 5:
-        quads = _quads(g)
+        quads = _quads(g, colorings)
         if isinstance(quads, Inconsistent):
             raise ContractError(f"quad sweep: {quads.reason}")
         if not isinstance(quads, dict):
@@ -571,7 +585,7 @@ def _derive_witness(g: Graph) -> Certificate:
         if cert is None:
             raise ContractError("oracle found no certificate after a silent sweep")
         return cert
-    traced = trace_squared_cycle(g)
+    traced = trace_squared_cycle(g, colorings)
     if isinstance(traced, Inconsistent):
         raise ContractError(f"squared-cycle trace: {traced.reason}")
     if not isinstance(traced, SquaredCycleLabeling):

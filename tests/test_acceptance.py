@@ -71,8 +71,8 @@ def audited_sweep():
             audit["inconsistent"] += 1
         return out
 
-    def split_wrapper(g, v):
-        out = orig_split(g, v)
+    def split_wrapper(g, v, phi=None):
+        out = orig_split(g, v, phi)
         if isinstance(out, witness_mod.Inconsistent):
             audit["split_inconsistent"] += 1
         elif isinstance(out, HighOddHoleWitness):

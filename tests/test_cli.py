@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import chidelta.cli as cli_mod
 from chidelta.certificate import CliqueWitness, HighOddHoleWitness, serialize_certificate
 from chidelta.cli import EX_CONTRACT, EX_IOERR, EX_OK, EX_REJECT, EX_USAGE, cli_dispatch
 from chidelta.graph import cycle_power, encode_graph6
@@ -281,6 +282,38 @@ def test_missing_required_flag_is_usage_error(capsys):
 def test_help_exits_zero(capsys):
     code, out, _ = run(capsys, "--help")
     assert code == 0 and "chidelta" in out
+
+
+# --- one parser per process ------------------------------------------------
+
+C16_LINE = encode_graph6(cycle_power(16, 2))
+
+
+def test_parser_is_built_once(capsys):
+    run(capsys, "gen", "--squared-cycle", "7")
+    run(capsys, "witness", "--graph", C16_LINE)
+    assert cli_mod._build_parser.cache_info().misses == 1
+
+
+def test_defaults_return_after_options_were_given(capsys):
+    code, out, _ = run(capsys, "witness", "--graph", C16_LINE, "--method", "both", "--format", "json")
+    assert code == EX_OK and json.loads(out)["kinds_agree"] is True
+    code, out, _ = run(capsys, "witness", "--graph", C16_LINE)
+    assert code == EX_OK
+    assert out.startswith("kind: high_odd_hole") and "[oracle]" not in out
+
+
+@pytest.mark.parametrize(
+    "first, first_code",
+    [(["witness", "--method", "both"], EX_USAGE), (["--help"], EX_OK), (["witness", "--help"], EX_OK)],
+    ids=["usage-error", "help", "subcommand-help"],
+)
+def test_failed_parse_leaves_the_parser_usable(capsys, first, first_code):
+    code, _, _ = run(capsys, *first)
+    assert code == first_code
+    code, out, err = run(capsys, "witness", "--graph", C16_LINE, "--format", "json")
+    assert code == EX_OK and err == ""
+    assert json.loads(out)["kind"] == "high_odd_hole"
 
 
 # --- README ----------------------------------------------------------------

@@ -268,6 +268,16 @@ def test_degree_examples():
     assert (max_degree(star), min_degree(star)) == (4, 1)
     with pytest.raises(GraphError):
         max_degree(graph_from_edges(0, []))
+    with pytest.raises(GraphError):
+        min_degree(graph_from_edges(0, []))
+
+
+def test_degree_extremes_match_per_vertex_degrees():
+    rng = random.Random(124)
+    for _ in range(200):
+        g = random_graph(rng, rng.randint(1, 20), rng.random())
+        degrees = [g.degree(v) for v in range(g.n)]
+        assert (max_degree(g), min_degree(g)) == (max(degrees), min(degrees))
 
 
 def test_induced_subgraph_examples():

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -10,7 +11,14 @@ from chidelta.certificate import (
     HighOddHoleWitness,
     verify_certificate,
 )
-from chidelta.coloring import Coloring, chromatic_number, is_proper
+import chidelta.coloring as coloring_mod
+from chidelta.coloring import (
+    Coloring,
+    chromatic_number,
+    extract_vertex_critical,
+    find_k_coloring,
+    is_proper,
+)
 from chidelta.graph import (
     cycle_power,
     decode_graph6,
@@ -156,6 +164,30 @@ def test_neighborhood_split_requires_regularity():
         neighborhood_split(graph_from_edges(6, [(0, i) for i in range(1, 6)] + [(1, 2), (2, 3), (3, 4), (4, 5), (5, 1)]), 0)
 
 
+@pytest.mark.parametrize("n", [13, 16])
+def test_neighborhood_split_reuses_the_critical_scan_coloring(n):
+    # the scan keeps every vertex of a critical squared cycle, and the
+    # coloring that kept v is the one the split would find for g - v itself
+    g = cycle_power(n, 2)
+    colorings = {}
+    assert extract_vertex_critical(g, 4, colorings) == set(range(n))
+    assert sorted(colorings) == list(range(n))
+    for v in range(n):
+        others = [u for u in range(n) if u != v]
+        assert colorings[v] == find_k_coloring(g, 3, others)
+        assert neighborhood_split(g, v, colorings[v]) == neighborhood_split(g, v)
+
+
+def test_neighborhood_split_rejects_a_coloring_of_another_vertex():
+    g = cycle_power(13, 2)
+    colorings = {}
+    extract_vertex_critical(g, 4, colorings)
+    with pytest.raises(ContractError):
+        neighborhood_split(g, 1, colorings[0])
+    with pytest.raises(ContractError):
+        neighborhood_split(g, 0, Coloring(4, colorings[0].colors))
+
+
 # --- attachment count and path quad ---------------------------------------------------
 
 
@@ -223,14 +255,47 @@ def test_find_witness_splits_each_vertex_once(monkeypatch, n):
     calls = []
     original = witness_mod.neighborhood_split
 
-    def counting(g, v):
+    def counting(g, v, phi=None):
         calls.append(v)
-        return original(g, v)
+        return original(g, v, phi)
 
     monkeypatch.setattr(witness_mod, "neighborhood_split", counting)
     g = cycle_power(n, 2)
     assert isinstance(find_witness(g), HighOddHoleWitness)
     assert calls == list(range(n))
+
+
+def _relabelled_circulant(n, jumps, copy):
+    perm = list(range(n))
+    random.Random(f"circulant:{n}:{jumps}:{copy}").shuffle(perm)
+    return graph_from_edges(n, [(perm[i], perm[(i + s) % n]) for i in range(n) for s in jumps])
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        cycle_power(16, 2),
+        cycle_power(40, 2),
+        c7_complement(),
+        _relabelled_circulant(11, (1, 2, 3), 1),  # the degree >= 5 regular sweep
+    ],
+    ids=["C16^2", "C40^2", "C7-complement", "C11(1,2,3)"],
+)
+def test_find_witness_colours_each_subgraph_once(monkeypatch, g):
+    # the critical scan's colorings of g - v feed the regular split sweep,
+    # so one find_witness call never asks for the same coloring twice
+    asked = []
+    original = coloring_mod.find_k_coloring
+
+    def recording(h, k, on=None):
+        asked.append((h, k, tuple(sorted(set(range(h.n) if on is None else on)))))
+        return original(h, k, on)
+
+    monkeypatch.setattr(coloring_mod, "find_k_coloring", recording)
+    monkeypatch.setattr(witness_mod, "find_k_coloring", recording)
+    find_witness(g)
+    assert asked
+    assert [key for key, times in Counter(asked).items() if times > 1] == []
 
 
 def test_find_witness_computes_chi_once(monkeypatch):
@@ -430,12 +495,6 @@ def test_find_witness_brooks_branch():
     g = graph_from_edges(5, [(i, j) for i in range(4) for j in range(i + 1, 4)] + [(0, 4)])
     w = find_witness(g)
     assert w == CliqueWitness(frozenset({0, 1, 2, 3}))
-
-
-def _relabelled_circulant(n, jumps, copy):
-    perm = list(range(n))
-    random.Random(f"circulant:{n}:{jumps}:{copy}").shuffle(perm)
-    return graph_from_edges(n, [(perm[i], perm[(i + s) % n]) for i in range(n) for s in jumps])
 
 
 # Every connected, vertex-critical circulant on 7..18 vertices with

@@ -74,10 +74,7 @@ def find_k_coloring(g: Graph, k: int, on: Iterable[int] | None = None) -> Colori
     """
     if k < 1:
         raise ValueError("palette size must be at least 1")
-    free = sorted(set(on)) if on is not None else list(range(g.n))
-    for v in free:
-        if not 0 <= v < g.n:
-            raise ValueError(f"vertex {v} out of range")
+    free = _vertex_list(g, on)
     if not free:
         return Coloring(k, (0,) * g.n)
     nbrs = g.neighbors
@@ -133,15 +130,35 @@ def find_k_coloring(g: Graph, k: int, on: Iterable[int] | None = None) -> Colori
                 sat[u] -= 1
 
 
+def _vertex_list(g: Graph, on: Iterable[int] | None) -> list[int]:
+    # The distinct vertices of `on` (default: all) in ascending order.
+    if on is None:
+        return list(range(g.n))
+    verts = sorted(set(on))
+    for v in verts:
+        if not 0 <= v < g.n:
+            raise ValueError(f"vertex {v} out of range")
+    return verts
+
+
 def _greedy_clique(g: Graph, verts: list[int]) -> list[int]:
     # Lower bound for the exact search on the subgraph induced by the
-    # distinct `verts`; deterministic but heuristic.
+    # distinct ascending `verts`; deterministic but heuristic.  Starts at
+    # the vertex with the most neighbours in `verts` (lowest id on ties),
+    # then keeps adding the candidate with the most candidate neighbours.
     if not verts:
         return []
-    inside = sum(1 << v for v in verts)
-    start = max(verts, key=lambda v: ((g.adjacency_mask(v) & inside).bit_count(), -v))
+    adj = g.adjacency_mask
+    inside = 0
+    for v in verts:
+        inside |= 1 << v
+    start, most = -1, -1
+    for v in verts:
+        d = (adj(v) & inside).bit_count()
+        if d > most:
+            start, most = v, d
     clique = [start]
-    cand = g.adjacency_mask(start) & inside
+    cand = adj(start) & inside
     while cand:
         best = -1
         best_score = -1
@@ -150,49 +167,74 @@ def _greedy_clique(g: Graph, verts: list[int]) -> list[int]:
             low = m & -m
             v = low.bit_length() - 1
             m ^= low
-            score = (g.adjacency_mask(v) & cand).bit_count()
+            score = (adj(v) & cand).bit_count()
             if score > best_score:
                 best_score = score
                 best = v
         clique.append(best)
-        cand &= g.adjacency_mask(best)
+        cand &= adj(best)
     return clique
 
 
-def _core_coloring(g: Graph, k: int, verts: list[int]) -> tuple[list[int], Coloring | None]:
-    # The k-core of the subgraph induced by the distinct `verts`, and a
-    # k-coloring of it, or None when `verts` has no k-coloring.  A vertex
-    # with fewer than k neighbours can always be coloured last, so peel such
-    # vertices until none is left: the rest is the k-core, which is
-    # k-colourable exactly when `verts` is.  A greedy clique of more than k
-    # vertices lies inside the core and settles it without a search.
+def _core_coloring(
+    g: Graph, k: int, verts: list[int], clique_fits: bool = False
+) -> tuple[list[int], Coloring | None]:
+    # The k-core of the subgraph induced by the distinct ascending `verts`,
+    # and a k-coloring of it, or None when `verts` has no k-coloring.  A
+    # vertex with fewer than k neighbours can always be coloured last, so
+    # peel such vertices until none is left: the rest is the k-core, which
+    # is k-colourable exactly when `verts` is.  A greedy clique of more than k
+    # vertices lies inside the core and settles it without a search; a
+    # caller that knows the greedy clique of `verts` to have at most k
+    # vertices passes `clique_fits`, and it is not recomputed unless peeling
+    # changed the set.  The clique only cuts short a search that would
+    # return None, so it never changes the coloring returned.
+    adj = g.adjacency_mask
+    inside = 0
+    for v in verts:
+        inside |= 1 << v
     core = verts
     while True:
-        inside = sum(1 << v for v in core)
-        left = [v for v in core if (g.adjacency_mask(v) & inside).bit_count() >= k]
+        left = []
+        for v in core:
+            if (adj(v) & inside).bit_count() >= k:
+                left.append(v)
+            else:
+                inside ^= 1 << v
         if len(left) == len(core):
-            if len(_greedy_clique(g, core)) > k:
-                return core, None
-            return core, find_k_coloring(g, k, core)
+            break
         core = left
+    if not (clique_fits and core is verts) and len(_greedy_clique(g, core)) > k:
+        return core, None
+    return core, find_k_coloring(g, k, core)
 
 
-def _colourable(g: Graph, k: int, verts: list[int]) -> bool:
-    # Whether the subgraph induced by the distinct `verts` has a k-coloring.
-    return _core_coloring(g, k, verts)[1] is not None
+def is_k_colorable(g: Graph, k: int, on: Iterable[int] | None = None) -> bool:
+    """Whether the vertices in `on` (default: all) have a proper k-coloring.
+
+    The same answer as `find_k_coloring(g, k, on) is not None`, decided with
+    as little search as possible: peel vertices with fewer than k neighbours
+    in the set down to its k-core, bound by a greedy clique of the core,
+    then one exact search on the core.
+    """
+    if k < 1:
+        raise ValueError("palette size must be at least 1")
+    return _core_coloring(g, k, _vertex_list(g, on))[1] is not None
 
 
 def chromatic_number(g: Graph) -> int:
     """Least k for which a proper k-coloring of all vertices exists (exact).
 
-    Starts at the size of a greedy clique and raises k until `_colourable`
-    holds: peel to the k-core, bound by a clique, then one exact search.
+    Starts at the size of a greedy clique and raises k until the vertices
+    are k-colourable, decided as in `is_k_colorable`.  The greedy clique of
+    all vertices never exceeds k here, so it is recomputed only on a core
+    that peeling made smaller.
     """
     if g.n == 0:
         raise ValueError("chromatic number of the empty graph")
     verts = list(range(g.n))
     k = len(_greedy_clique(g, verts))
-    while not _colourable(g, k, verts):
+    while _core_coloring(g, k, verts, clique_fits=True)[1] is None:
         k += 1
     return k
 
@@ -272,11 +314,11 @@ def extract_vertex_critical(
     or computes it once; then one scan in ascending vertex order deletes
     every vertex whose removal keeps chi.  Deleting vertices never raises
     chi, so v can go exactly when the remaining vertices admit no
-    (chi - 1)-coloring.  `_core_coloring` decides that the same way
-    `chromatic_number` does: peel to the (chi - 1)-core, bound by a greedy
-    clique, then one exact search on the core.  One pass suffices: a vertex
-    found necessary in a superset stays necessary in every later subset, so
-    a rescan would delete nothing.
+    (chi - 1)-coloring.  `_core_coloring` decides that as `is_k_colorable`
+    does: peel to the (chi - 1)-core, bound by a greedy clique, then one
+    exact search on the core.  One pass suffices: a vertex found necessary
+    in a superset stays necessary in every later subset, so a rescan would
+    delete nothing.
 
     A kept vertex v is kept because the other remaining vertices have a
     (chi - 1)-coloring.  When peeling removed none of them, that coloring

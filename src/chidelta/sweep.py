@@ -10,9 +10,17 @@ from typing import Iterable, Iterator
 
 # deserialize_certificate is re-exported: bench/run.py imports it from here.
 from .certificate import certificate_kind, deserialize_certificate, verify_certificate  # noqa: F401
-from .coloring import chromatic_number
+from .coloring import chromatic_number, is_k_colorable
 from .generate import GENERATION_CAP, generate_connected_graphs
-from .graph import GraphError, decode_graph6, encode_graph6, graph6_order, is_connected, max_degree
+from .graph import (
+    Graph,
+    GraphError,
+    decode_graph6,
+    encode_graph6,
+    graph6_order,
+    is_connected,
+    max_degree,
+)
 from .oracle import oracle_witness
 from .witness import ContractError, find_witness
 
@@ -127,6 +135,20 @@ class SweepReport:
         return "\n".join(lines)
 
 
+def _in_cohort(g: Graph) -> bool:
+    """Whether the chromatic number of g equals its maximum degree delta.
+
+    A (delta - 1)-coloring shows chi < delta with one colourability test.
+    Only graphs without one pay for the exact chromatic number: by Brooks'
+    theorem a connected one is complete, an odd cycle or in the cohort.
+    The answer is exact for every graph, not only where Brooks applies.
+    """
+    delta = max_degree(g)
+    if delta > 1 and is_k_colorable(g, delta - 1):
+        return False
+    return chromatic_number(g) == delta
+
+
 def _sweep_task(args: tuple[str, str]) -> dict:
     line, method = args
     rec: dict = {
@@ -144,7 +166,7 @@ def _sweep_task(args: tuple[str, str]) -> dict:
         if not is_connected(g):
             rec["error"] = "graph is disconnected"
             return rec
-        if chromatic_number(g) != max_degree(g):
+        if not _in_cohort(g):
             return rec
         rec["cohort"] = True
         if method in ("proof", "both"):
@@ -204,6 +226,10 @@ def theorem_sweep(
     """Run the selected witness method(s) over every connected graph with
     chromatic number equal to maximum degree, verifying each certificate
     once: `find_witness` checks its own, the sweep checks the oracle's.
+
+    The chi = delta filter (`_in_cohort`) rules out every graph with
+    chi < delta by one (delta - 1)-colourability test and computes the exact
+    chi only for the rest: the cohort, complete graphs and odd cycles.
 
     Per-graph work is independent; with jobs > 1 a process pool is used and
     results are merged in generation order, so reports for different worker

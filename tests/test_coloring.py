@@ -10,6 +10,7 @@ from chidelta.coloring import (
     chromatic_number,
     extract_vertex_critical,
     find_k_coloring,
+    is_k_colorable,
     is_proper,
     kempe_chain,
     kempe_swap,
@@ -94,6 +95,29 @@ def test_solver_consistency_over_small_corpus():
             chi = chromatic_number(g)
             if chi > 1:
                 assert find_k_coloring(g, chi - 1) is None
+
+
+def test_is_k_colorable_matches_find_k_coloring():
+    rng = random.Random(2718)
+    outcomes = set()
+    for _ in range(300):
+        n = rng.randint(0, 12)
+        g = random_graph(rng, n, rng.choice([0.2, 0.35, 0.5, 0.7, 0.85]))
+        subset = [v for v in range(n) if rng.random() < 0.7]
+        rng.shuffle(subset)
+        for k in range(1, 6):
+            for on in (None, subset, subset + subset[:2]):
+                got = is_k_colorable(g, k, on)
+                assert got == (find_k_coloring(g, k, on) is not None), (n, sorted(g.edges()), k, on)
+                outcomes.add(got)
+    assert outcomes == {True, False}
+
+
+def test_is_k_colorable_rejects_what_find_k_coloring_rejects():
+    for k, on in ((0, None), (-1, [0]), (2, [3]), (2, [-1])):
+        for decide in (is_k_colorable, find_k_coloring):
+            with pytest.raises(ValueError):
+                decide(k_n(3), k, on)
 
 
 def test_find_k_coloring_rejects_bad_palette():
@@ -344,6 +368,53 @@ def _restart_scan_critical(g):
                 changed = True
                 break
     return frozenset(keep)
+
+
+def _greedy_clique_reference(g, verts):
+    # reference: the start vertex picked by `max` with a key, ties to the
+    # lowest id, then the same candidate growth
+    if not verts:
+        return []
+    inside = sum(1 << v for v in verts)
+    start = max(verts, key=lambda v: ((g.adjacency_mask(v) & inside).bit_count(), -v))
+    clique = [start]
+    cand = g.adjacency_mask(start) & inside
+    while cand:
+        best, best_score = -1, -1
+        for v in range(g.n):
+            if cand >> v & 1:
+                score = (g.adjacency_mask(v) & cand).bit_count()
+                if score > best_score:
+                    best, best_score = v, score
+        clique.append(best)
+        cand &= g.adjacency_mask(best)
+    return clique
+
+
+def test_greedy_clique_matches_reference():
+    rng = random.Random(4242)
+    for _ in range(400):
+        n = rng.randint(0, 14)
+        g = random_graph(rng, n, rng.choice([0.2, 0.35, 0.5, 0.7, 0.85]))
+        subset = [v for v in range(n) if rng.random() < 0.7]
+        for verts in (list(range(n)), subset):
+            got = coloring_mod._greedy_clique(g, verts)
+            assert got == _greedy_clique_reference(g, verts), (n, sorted(g.edges()), verts)
+
+
+def test_chromatic_number_builds_one_clique_when_nothing_peels(monkeypatch):
+    # C16^2 is 4-regular with chi = 4: neither the 3-core nor the 4-core
+    # test peels a vertex, so the first greedy clique is never rebuilt
+    calls = []
+    original = coloring_mod._greedy_clique
+
+    def counting(h, verts):
+        calls.append(len(verts))
+        return original(h, verts)
+
+    monkeypatch.setattr(coloring_mod, "_greedy_clique", counting)
+    assert chromatic_number(cycle_power(16, 2)) == 4
+    assert calls == [16]
 
 
 def test_extract_critical_matches_restart_scan():

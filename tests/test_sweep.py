@@ -25,6 +25,7 @@ from chidelta.certificate import (
     deserialize_certificate,
     serialize_certificate,
 )
+from chidelta.coloring import chromatic_number
 from chidelta.graph import (
     complement,
     cycle_power,
@@ -32,6 +33,7 @@ from chidelta.graph import (
     encode_graph6,
     graph_from_edges,
     is_connected,
+    max_degree,
 )
 from chidelta.sweep import (
     SweepError,
@@ -40,7 +42,7 @@ from chidelta.sweep import (
 )
 from chidelta.witness import ContractError, find_witness
 
-from conftest import k_n, random_graph, to_nx
+from conftest import c7_complement, k_n, petersen, random_graph, to_nx
 
 KNOWN_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
 
@@ -466,6 +468,61 @@ def test_corpus_keeps_file_order_within_each_order():
         4: [lines[3], "C~", lines[0]],
         2: [mixed[3]],
     }
+
+
+# --- chi = delta filter ---------------------------------------------------------------
+
+
+def _relabelled(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return graph_from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2])
+def test_cohort_filter_matches_chromatic_number_on_corpus(seed):
+    # every connected graph on up to 8 vertices, as committed or relabelled
+    rng = random.Random(seed)
+    for line in CORPUS_N8.read_text().split():
+        g = decode_graph6(line)
+        if seed is not None:
+            g = _relabelled(g, rng)
+        assert sweep_mod._in_cohort(g) == (chromatic_number(g) == max_degree(g)), (line, seed)
+
+
+def test_cohort_filter_matches_chromatic_number_on_named_and_random_graphs():
+    rng = random.Random(1941)
+    graphs = [k_n(n) for n in range(1, 10)] + [cycle_power(n, 1) for n in range(3, 10)]
+    graphs += [petersen(), c7_complement(), cycle_power(16, 2)]
+    graphs += [
+        random_graph(rng, rng.randint(1, 11), rng.choice([0.2, 0.35, 0.5, 0.7, 0.9]))
+        for _ in range(300)
+    ]
+    outcomes = set()
+    for g in graphs:
+        expected = chromatic_number(g) == max_degree(g)
+        assert sweep_mod._in_cohort(g) == expected, sorted(g.edges())
+        outcomes.add(expected)
+    assert outcomes == {True, False}
+
+
+def test_corpus_sweep_computes_chi_only_where_it_can_equal_delta(monkeypatch):
+    # one (delta - 1)-colourability test settles every graph with chi < delta;
+    # the exact chi runs on the 567 cohort graphs, K1..K8, C5 and C7 only
+    calls = []
+    original = sweep_mod.chromatic_number
+
+    def counting(g):
+        chi = original(g)
+        calls.append((g, chi))
+        return chi
+
+    monkeypatch.setattr(sweep_mod, "chromatic_number", counting)
+    report = theorem_sweep(8, "both", corpus=CORPUS_N8.read_text().splitlines())
+    assert report.ok and report.total_graphs == 12113 and report.total_cohort == 567
+    assert len(calls) == 577
+    others = sorted((g.n, g.edge_count()) for g, chi in calls if chi != max_degree(g))
+    assert others == sorted([(n, n * (n - 1) // 2) for n in range(1, 9)] + [(5, 5), (7, 7)])
 
 
 def test_sweep_failure_terminates_pool(monkeypatch):

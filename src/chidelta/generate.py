@@ -1,20 +1,44 @@
-"""Isomorphism-free enumeration of connected graphs.
+"""Isomorphism-free enumeration of connected graphs by canonical augmentation.
 
 Generation grows graphs one vertex at a time: every connected graph arises
 from a connected graph one vertex smaller by attaching the new vertex to a
-nonempty subset (remove any non-cutvertex to see this).  Parents are taken in
-the order of the level below and, for each parent, subsets in ascending mask
-order; a child is kept when its isomorphism class has not been seen before,
-so each class is represented by its first-seen child.  Classes are told apart
-by a canonical code: the least upper-triangle adjacency code over the
-orderings that respect an isomorphism-invariant ordered partition.
+nonempty subset (remove any non-cut vertex to see this).  Each class is
+emitted once, already in canonical form, and no record of the classes seen
+is kept (B. D. McKay, "Isomorph-free exhaustive generation", J. Algorithms
+26, 1998).
 
-Two subsets of a parent that an automorphism of the parent maps onto each
-other give isomorphic children, so only the least subset of each orbit is
-tried: every other subset's child belongs to a class already seen from the
-same parent, so skipping it changes no representative.  The automorphisms
-come from the parent's own canonical search: any two orderings with the
-least code differ by an automorphism.
+- Canonical form.  `_search` finds the least upper-triangle adjacency code
+  over the orderings that respect an isomorphism-invariant ordered
+  partition, one ordering with that code (the best leaf) and automorphisms
+  found on the way.  Any two orderings with the least code differ by an
+  automorphism.  A class is represented by the graph decoded from its code,
+  so the representative depends only on the class.
+- Canonical deletion.  In a graph C, take the non-cut vertices whose
+  invariant (degree, then the sum of the neighbours' degrees) is largest,
+  and among them the one the best leaf places last.  An isomorphism carries
+  invariants, cut vertices and best leaves from one graph to the other, and
+  best leaves differ by automorphisms, so the Aut(C)-orbit of this vertex
+  depends only on C up to isomorphism.
+- Acceptance.  The representative P of each class one vertex smaller gets a
+  new vertex w joined to each nonempty mask that is least in its orbit
+  under Aut(P), and the child C = P + w is kept exactly when w lies in the
+  Aut(C)-orbit of C's canonical deletion vertex.
+
+Every class is emitted: from a graph of the class delete its canonical
+deletion vertex m; what remains is connected, so an isomorphism carries it
+onto a representative P and m's neighbours onto a mask S of P.  The child
+from the least mask in the Aut(P)-orbit of S is isomorphic to the graph by an
+isomorphism taking w to m, so it is tried and kept.  No class is emitted
+twice: if kept children P + S and P' + S' are isomorphic, some isomorphism
+between them takes w to w, since in both w lies in the orbit of the
+canonical deletion vertex.  It restricts to an isomorphism of P onto P', so
+P = P' as each class has one representative, and to an automorphism of P
+taking S to S', so S = S' as both are least in their orbit.
+
+Orbits are taken under the group generated by the automorphisms `_search`
+finds, so the argument needs that group to be the whole automorphism group.
+The tests compare its vertex orbits with brute force, and the class counts
+with OEIS A001349.
 """
 
 from __future__ import annotations
@@ -50,8 +74,9 @@ def _cells(n: int, adj: tuple[int, ...]) -> list[int]:
     return [cells[sig] for sig in sorted(cells)]
 
 
-def _search(n: int, adj: tuple[int, ...]) -> tuple[int, list[list[int]]]:
-    """Canonical code of the graph, and automorphisms found on the way.
+def _search(n: int, adj: tuple[int, ...]) -> tuple[int, list[list[int]], list[int]]:
+    """Canonical code of the graph, automorphisms found on the way, and the
+    best leaf: the vertex at each position of an ordering with that code.
 
     The code is the least upper-triangle adjacency code (column by column)
     over the vertex orderings that place the cells of `_cells` in order.
@@ -114,7 +139,7 @@ def _search(n: int, adj: tuple[int, ...]) -> tuple[int, list[list[int]]]:
         while d >= 0 and not untried[d]:
             d -= 1
         if d < 0:
-            return best[n], autos
+            return best[n], autos, best_path
         group = untried[d]
         bit = group & -group
         untried[d] = group ^ bit
@@ -122,11 +147,6 @@ def _search(n: int, adj: tuple[int, ...]) -> tuple[int, list[list[int]]]:
         code = codes[d]
         placed = masks[d] | bit
         d += 1
-
-
-def _canonical_code(n: int, adj: tuple[int, ...]) -> int:
-    """Complete isomorphism invariant: equal exactly for isomorphic graphs."""
-    return _search(n, adj)[0]
 
 
 def _orbit_minima(n: int, autos: list[list[int]]) -> list[int]:
@@ -160,33 +180,97 @@ def _orbit_minima(n: int, autos: list[list[int]]) -> list[int]:
     return out
 
 
+def _decode(n: int, code: int) -> tuple[int, ...]:
+    """Adjacency rows of the graph with `_search` code `code`, vertex i being
+    the vertex placed at position i."""
+    rows = [0] * n
+    shift = n * (n - 1) // 2
+    for j in range(1, n):
+        for i in range(j):
+            shift -= 1
+            if code >> shift & 1:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+    return tuple(rows)
+
+
+def _orbit(v: int, autos: list[list[int]]) -> int:
+    """Mask of the orbit of vertex v under the group generated by `autos`."""
+    orbit = 1 << v
+    todo = [v]
+    while todo:
+        u = todo.pop()
+        for perm in autos:
+            w = perm[u]
+            if not orbit >> w & 1:
+                orbit |= 1 << w
+                todo.append(w)
+    return orbit
+
+
+def _components(adj: tuple[int, ...], keep: int) -> list[int]:
+    """Vertex masks of the components of the subgraph induced by mask `keep`."""
+    out = []
+    while keep:
+        reach = frontier = keep & -keep
+        while frontier:
+            low = frontier & -frontier
+            grown = adj[low.bit_length() - 1] & keep & ~reach
+            reach |= grown
+            frontier = frontier ^ low | grown
+        out.append(reach)
+        keep ^= reach
+    return out
+
+
 @lru_cache(maxsize=None)
 def _connected_level(n: int) -> tuple[tuple[int, ...], ...]:
-    """One adjacency tuple per isomorphism class of connected graphs on n vertices.
+    """One adjacency tuple per isomorphism class of connected graphs on n
+    vertices, each in canonical form: the graph decoded from its `_search` code.
 
-    Each class is represented by its first-seen child: parents in the order
-    of level n - 1, and for each parent the new vertex's neighbour masks in
-    ascending order.  Masks that are not least in their orbit under the
-    parent's automorphisms are skipped.  This is exact for any set of
-    automorphisms: if sigma(mask) < mask for an automorphism sigma, the child
-    from sigma(mask) is isomorphic to this one (sigma, fixing the new vertex,
-    maps one onto the other) and was examined earlier from the same parent,
-    so this child's class is already seen and it would not be kept.
+    Each representative P of level n - 1 gets a new vertex w = n - 1 joined to
+    each mask least in its orbit under P's automorphisms, and the child C is
+    kept exactly when w lies in the Aut(C)-orbit of C's canonical deletion
+    vertex.  Invariants are packed as degree << 8 | neighbour degree sum,
+    which fits for n <= 16.  A child in which some non-cut vertex has a
+    larger invariant than w is rejected before its canonical search.  The
+    module docstring shows that this emits every class exactly once.
     """
     if n == 1:
         return ((0,),)
     out: list[tuple[int, ...]] = []
-    seen: set[int] = set()
     new = n - 1
+    everyone = (1 << new) - 1
     for parent in _connected_level(new):
+        degree = [row.bit_count() for row in parent]
+        keys = [
+            degree[v] << 8 | sum(degree[u] for u in range(new) if row >> u & 1)
+            for v, row in enumerate(parent)
+        ]
+        # v is a non-cut vertex of P + w exactly when w meets every component of P - v
+        parts = [_components(parent, everyone ^ 1 << v) for v in range(new)]
         for mask in _orbit_minima(new, _search(new, parent)[1]):
-            rows = [row | (mask >> v & 1) << new for v, row in enumerate(parent)]
-            rows.append(mask)
-            adj = tuple(rows)
-            code = _canonical_code(n, adj)
-            if code not in seen:
-                seen.add(code)
-                out.append(adj)
+            k = mask.bit_count()
+            key = k << 8 | k + sum(degree[v] for v in range(new) if mask >> v & 1)
+            tied = 1 << new  # w and the non-cut vertices whose key equals w's
+            for v in range(new):
+                child_key = keys[v] + (parent[v] & mask).bit_count()
+                if mask >> v & 1:  # w adds one to v's degree and k to its sum
+                    child_key += (1 << 8) + k
+                if child_key >= key and all(mask & part for part in parts[v]):
+                    if child_key > key:
+                        break
+                    tied |= 1 << v
+            else:  # no non-cut vertex beats w
+                rows = [row | (mask >> v & 1) << new for v, row in enumerate(parent)]
+                rows.append(mask)
+                adj = tuple(rows)
+                code, autos, best_path = _search(n, adj)
+                if tied != 1 << new:
+                    last = next(v for v in reversed(best_path) if tied >> v & 1)
+                    if not _orbit(last, autos) >> new & 1:
+                        continue
+                out.append(_decode(n, code))
     return tuple(out)
 
 

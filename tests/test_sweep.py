@@ -27,6 +27,7 @@ from chidelta.certificate import (
 )
 from chidelta.coloring import chromatic_number
 from chidelta.graph import (
+    Graph,
     complement,
     cycle_power,
     decode_graph6,
@@ -105,20 +106,33 @@ def test_generation_counts(n):
     assert sum(1 for _ in generate_connected_graphs(n)) == KNOWN_COUNTS[n]
 
 
-def test_generation_keeps_pinned_representatives():
-    # the first-seen representative of every class, in order, for n = 1..8
-    pinned = CORPUS_N8.read_text(encoding="ascii").splitlines()
-    generated = [encode_graph6(g) for n in range(1, 9) for g in generate_connected_graphs(n)]
-    assert len(pinned) == 12113
-    assert generated == pinned
-
-
 def _rows(g):
     return tuple(g.adjacency_mask(v) for v in range(g.n))
 
 
 def _code(g):
-    return generate_mod._canonical_code(g.n, _rows(g))
+    return generate_mod._search(g.n, _rows(g))[0]
+
+
+def _canonical(g):
+    return generate_mod._decode(g.n, _code(g))
+
+
+def test_generation_gives_canonical_representatives():
+    # label-independent pin: the committed corpus holds one graph per class
+    # for n = 1..8 in the labelling of an older generator, so its canonical
+    # forms are the classes; every generated graph is its own canonical form
+    pinned = CORPUS_N8.read_text(encoding="ascii").splitlines()
+    assert len(pinned) == 12113
+    generated = [_rows(g) for n in range(1, 9) for g in generate_connected_graphs(n)]
+    assert all(_canonical(Graph(len(rows), rows)) == rows for rows in generated)
+    canonical = set(generated)
+    assert canonical == {_canonical(decode_graph6(line)) for line in pinned}
+    for seed in (1, 2):
+        rng = random.Random(seed)
+        for line in pinned:
+            g = decode_graph6(line)
+            assert _canonical(_relabel(g, _shuffled(rng, g.n))) in canonical, (seed, line)
 
 
 def _relabel(g, perm):
@@ -193,6 +207,34 @@ def test_pruning_uses_only_automorphisms():
             for u, v in itertools.combinations(range(g.n), 2):
                 assert g.has_edge(u, v) == g.has_edge(perm[u], perm[v]), encode_graph6(g)
     assert found
+
+
+def _brute_orbits(g):
+    # u is in the orbit of v when g with v marked is isomorphic to g with u marked
+    marked = []
+    for v in range(g.n):
+        h = to_nx(g)
+        nx.set_node_attributes(h, {u: u == v for u in h}, "mark")
+        marked.append(h)
+
+    def same(a, b):
+        return a["mark"] == b["mark"]
+
+    return [
+        sum(1 << u for u in range(g.n) if nx.is_isomorphic(marked[v], marked[u], node_match=same))
+        for v in range(g.n)
+    ]
+
+
+def test_search_orbits_match_brute_force():
+    # the acceptance rule of generation is exact only if the automorphisms
+    # found by the canonical search generate the whole automorphism group
+    graphs = [g for n in range(1, 7) for g in generate_connected_graphs(n)]
+    graphs += [g for g in _key_samples() if g.n <= 8]
+    for g in graphs:
+        autos = generate_mod._search(g.n, _rows(g))[1]
+        orbits = [generate_mod._orbit(v, autos) for v in range(g.n)]
+        assert orbits == _brute_orbits(g), encode_graph6(g)
 
 
 @pytest.mark.parametrize("n", [4, 5])

@@ -182,5 +182,9 @@ def deserialize_certificate(text: str) -> Certificate:
                 isinstance(x, int) and not isinstance(x, bool) for x in values
             ):
                 raise SerializationError(f"field {key!r} must be an array of integers")
-            return cls(frozenset(values) if cls is CliqueWitness else tuple(values))
+            if cls is not CliqueWitness:
+                return cls(tuple(values))
+            if len(set(values)) != len(values):
+                raise SerializationError(f"field {key!r} repeats a vertex")
+            return cls(frozenset(values))
     raise SerializationError(f"unknown certificate kind {kind!r}")

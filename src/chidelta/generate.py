@@ -46,7 +46,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterator
 
-from .graph import Graph
+from .graph import Graph, _triangle_rows
 
 GENERATION_CAP = 9
 
@@ -78,8 +78,9 @@ def _search(n: int, adj: tuple[int, ...]) -> tuple[int, list[list[int]], list[in
     """Canonical code of the graph, automorphisms found on the way, and the
     best leaf: the vertex at each position of an ordering with that code.
 
-    The code is the least upper-triangle adjacency code (column by column)
-    over the vertex orderings that place the cells of `_cells` in order.
+    The code is the least upper-triangle adjacency code (column by column,
+    the graph6 bit vector of the reordered graph) over the vertex orderings
+    that place the cells of `_cells` in order.
     Position d is filled from its cell by the unplaced vertices whose column
     against the placed ones is least; a prefix worse than the best seen at
     its depth is cut.  A leaf with the same code as the best leaf gives an
@@ -180,20 +181,6 @@ def _orbit_minima(n: int, autos: list[list[int]]) -> list[int]:
     return out
 
 
-def _decode(n: int, code: int) -> tuple[int, ...]:
-    """Adjacency rows of the graph with `_search` code `code`, vertex i being
-    the vertex placed at position i."""
-    rows = [0] * n
-    shift = n * (n - 1) // 2
-    for j in range(1, n):
-        for i in range(j):
-            shift -= 1
-            if code >> shift & 1:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-    return tuple(rows)
-
-
 def _orbit(v: int, autos: list[list[int]]) -> int:
     """Mask of the orbit of vertex v under the group generated by `autos`."""
     orbit = 1 << v
@@ -270,7 +257,7 @@ def _connected_level(n: int) -> tuple[tuple[int, ...], ...]:
                     last = next(v for v in reversed(best_path) if tied >> v & 1)
                     if not _orbit(last, autos) >> new & 1:
                         continue
-                out.append(_decode(n, code))
+                out.append(tuple(_triangle_rows(n, code)))
     return tuple(out)
 
 

@@ -165,14 +165,13 @@ def cycle_power(n: int, d: int) -> Graph:
     return Graph(n, adj)
 
 
-def _parse_graph6(text: str) -> tuple[int, int, int]:
+def _parse_graph6(text: str) -> tuple[int, int]:
     """Check one graph6 line (an optional '>>graph6<<' header is allowed).
 
     Layout: length byte 63+n for n <= 62, then the upper-triangle bit vector
     in column-major pair order (0,1),(0,2),(1,2),(0,3),... packed into 6-bit
-    groups offset by 63, zero-padded at the end.  Returns the order n, the bit
-    vector as an int (pair (0,1) most significant, padding dropped) and its
-    length n(n-1)/2.
+    groups offset by 63, zero-padded at the end.  Returns the order n and the
+    bit vector as an int (pair (0,1) most significant, padding dropped).
     """
     line = text.strip()
     if line.startswith(GRAPH6_HEADER):
@@ -201,7 +200,21 @@ def _parse_graph6(text: str) -> tuple[int, int, int]:
     pad = 6 * expected - nbits
     if pad and stream & ((1 << pad) - 1):
         raise GraphError("nonzero padding bits")
-    return n, stream >> pad, nbits
+    return n, stream >> pad
+
+
+def _triangle_rows(n: int, bits: int) -> list[int]:
+    """Adjacency rows of the graph on n vertices whose upper-triangle bit
+    vector, in graph6 pair order with pair (0,1) most significant, is `bits`."""
+    rows = [0] * n
+    idx = n * (n - 1) // 2
+    for j in range(1, n):
+        for i in range(j):
+            idx -= 1
+            if bits >> idx & 1:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+    return rows
 
 
 def graph6_order(text: str) -> int:
@@ -212,15 +225,8 @@ def graph6_order(text: str) -> int:
 
 def decode_graph6(text: str) -> Graph:
     """Decode one graph6 line; see `_parse_graph6` for the layout and checks."""
-    n, stream, idx = _parse_graph6(text)
-    adj = [0] * n
-    for j in range(1, n):
-        for i in range(j):
-            idx -= 1
-            if stream >> idx & 1:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-    return Graph(n, adj)
+    n, bits = _parse_graph6(text)
+    return Graph(n, _triangle_rows(n, bits))
 
 
 def encode_graph6(g: Graph) -> str:

@@ -13,6 +13,7 @@ from .certificate import certificate_kind, deserialize_certificate, verify_certi
 from .coloring import chromatic_number, is_k_colorable
 from .generate import GENERATION_CAP, generate_connected_graphs
 from .graph import (
+    GRAPH6_HEADER,
     Graph,
     GraphError,
     decode_graph6,
@@ -191,12 +192,17 @@ def _sweep_task(args: tuple[str, str]) -> dict:
 
 
 def _corpus_by_order(corpus: Iterable[str]) -> dict[int, list[str]]:
-    """Stripped nonblank corpus lines by graph order, in file order within each order."""
+    """Stripped nonblank corpus lines by graph order, in file order within each order.
+
+    A line's `>>graph6<<` header, which nauty writes at the start of a file,
+    is dropped, so each stored line is the bare encoding of its graph.
+    """
     by_order: dict[int, list[str]] = {}
     for number, raw in enumerate(corpus, 1):
         line = raw.strip()
         if not line:
             continue
+        line = line.removeprefix(GRAPH6_HEADER)
         try:
             n = graph6_order(line)
         except GraphError as exc:

@@ -187,24 +187,6 @@ def degree_deficient_probe(h: Graph, v: int) -> Certificate:
     return CliqueWitness(frozenset(nbrs) | {v})
 
 
-def _structural_split(g: Graph, v: int) -> NeighborhoodSplit | Inconsistent:
-    # Exhaustive fallback for inputs that are not vertex-critical (no coloring
-    # of g - v exists to probe): try every candidate pair directly.
-    nbrs = g.neighbors(v)
-    for i, a1 in enumerate(nbrs):
-        for a2 in nbrs[i + 1:]:
-            if g.has_edge(a1, a2):
-                continue
-            b_set = [u for u in nbrs if u not in (a1, a2)]
-            if any(
-                not g.has_edge(x, y) for k, x in enumerate(b_set) for y in b_set[k + 1:]
-            ):
-                continue
-            if all(g.has_edge(b, a1) or g.has_edge(b, a2) for b in b_set):
-                return NeighborhoodSplit(v, (a1, a2), frozenset(b_set))
-    return Inconsistent(f"no valid neighbourhood split exists at {v}")
-
-
 def neighborhood_split(
     g: Graph, v: int, phi: Coloring | None = None
 ) -> NeighborhoodSplit | Certificate | Inconsistent:
@@ -217,12 +199,8 @@ def neighborhood_split(
     is attached to A via its two-colour component towards A: a single-edge
     path certifies attachment, a longer path closes an odd hole through v,
     and a missing path means the coloring could be rearranged to extend,
-    which is Inconsistent.
-
-    When g - v cannot be coloured at all (the instance is not vertex-critical,
-    e.g. a squared cycle on 2 mod 3 vertices), the split is instead derived by
-    exhaustively checking candidate pairs against the three conditions, which
-    keeps the operation total on all squared cycles.
+    which is Inconsistent.  So is a graph minus v with no such coloring at
+    all: the instance is not vertex-critical.
 
     A caller that already holds the (max degree - 1)-coloring of g - v, such
     as the critical scan's, passes it as `phi`, and g - v is not coloured
@@ -237,7 +215,7 @@ def neighborhood_split(
     if phi is None:
         phi = find_k_coloring(g, delta - 1, others)
         if phi is None:
-            return _structural_split(g, v)
+            return Inconsistent(f"graph minus {v} admits no ({delta - 1})-coloring")
     elif phi.k != delta - 1 or list(phi.colored_vertices()) != others:
         raise ContractError(f"given coloring is not a ({delta - 1})-coloring of g minus {v}")
     by_color: dict[int, list[int]] = {}
@@ -341,10 +319,6 @@ def _quads(
     quads: dict[int, PathQuad] = {}
     for v in range(g.n):
         split = neighborhood_split(g, v, colorings.get(v))
-        if isinstance(split, Inconsistent):
-            # The trace also serves instances whose chromatic number is below
-            # the degree, where probe colorings are unusable; structure decides.
-            split = _structural_split(g, v)
         if not isinstance(split, NeighborhoodSplit):
             return split
         for a in split.a:
@@ -409,44 +383,29 @@ def squared_cycle_hole(n: int) -> tuple[int, ...]:
     unit step k-3 times each (reaching 3k-8), then five double steps wrap
     back to the start; the length is 2k-1.
 
-    For n = 3k+2: take the least odd length l with 5 <= l, n/2 <= l <= 2n/3.
-    That window always contains an odd integer for n >= 8, and using
-    j = 2l-n unit steps with m = n-l double steps (note j <= m) covers the
-    cycle exactly once; the excess m-j double steps go first, then double
-    and unit steps alternate.
+    These are the squared cycles the degree-4 endgame reaches, the
+    4-chromatic vertex-critical ones; every other n raises ValueError with
+    the reason.  For 3 | n the squared cycle is 3-colorable, and for n = 3k+2
+    it is not vertex-critical: the forced 3-coloring of the square minus v
+    makes its edge (v-1, v+1) monochromatic.
     """
     if n % 3 == 0:
         raise ValueError(f"n={n} is divisible by 3; the squared cycle is 3-colorable")
-    if n % 3 == 1:
-        if n < 10:
-            raise ValueError(f"n={n} has no such cycle (the 7-vertex case is exceptional)")
-        k = (n - 1) // 3
-        seq = [1]
-        pos = 1
-        for _ in range(k - 3):
-            pos += 2
-            seq.append(pos)
-            pos += 1
-            seq.append(pos)
-        for _ in range(4):
-            pos += 2
-            seq.append(pos)
-        return tuple(seq)
-    if n < 8:
-        raise ValueError(f"n={n} is too small for an odd hole in the squared cycle")
-    length = max(5, (n + 1) // 2)
-    if length % 2 == 0:
-        length += 1
-    if 3 * length > 2 * n:
-        raise ValueError(f"no odd cycle length fits the window for n={n}")
-    unit = 2 * length - n
-    double = n - length
-    steps = [2] * (double - unit) + [2, 1] * unit
-    seq = [0]
-    pos = 0
-    for s in steps[:-1]:
-        pos += s
-        seq.append(pos % n)
+    if n % 3 == 2:
+        raise ValueError(f"n={n} is 2 mod 3; the squared cycle is not vertex-critical")
+    if n < 10:
+        raise ValueError(f"n={n} has no such cycle (the 7-vertex case is exceptional)")
+    k = (n - 1) // 3
+    seq = [1]
+    pos = 1
+    for _ in range(k - 3):
+        pos += 2
+        seq.append(pos)
+        pos += 1
+        seq.append(pos)
+    for _ in range(4):
+        pos += 2
+        seq.append(pos)
     return tuple(seq)
 
 
@@ -596,8 +555,8 @@ def _derive_witness(g: Graph) -> Certificate:
         if positions is None:
             raise ContractError("7-vertex squared cycle failed recognition")
         return ExceptionalC7Complement(positions)
-    if m % 3 == 0:
-        raise ContractError("squared cycle of length divisible by 3 is 3-chromatic")
+    if m % 3 != 1:
+        raise ContractError(f"squared cycle of length {m} is not 4-critical")
     vertex_at = traced.vertex_at()
-    cycle = tuple(vertex_at[p % m] for p in squared_cycle_hole(m))
+    cycle = tuple(vertex_at[p] for p in squared_cycle_hole(m))
     return HighOddHoleWitness(cycle)

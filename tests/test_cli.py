@@ -129,6 +129,14 @@ def test_verify_rejects_malformed_certificate(capsys, tmp_path):
     assert code == EX_REJECT and "malformed" in out
 
 
+def test_verify_rejects_repeated_clique_vertex(capsys, tmp_path):
+    # the repeat would otherwise collapse into {0, 1, 2}, a valid clique of K4
+    path = tmp_path / "cert.json"
+    path.write_text('{"kind": "clique", "vertices": [0, 0, 1, 2]}')
+    code, out, _ = run(capsys, "verify", "--graph", "C~", "--certificate", str(path))
+    assert code == EX_REJECT and out.startswith("reject: malformed certificate: ")
+
+
 def test_verify_rejects_non_utf8_certificate(capsys, tmp_path):
     path = tmp_path / "cert.json"
     path.write_bytes(b'{"kind": "clique", "vertices": [0, 1, 2]}\xff\xfe')

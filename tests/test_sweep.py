@@ -11,6 +11,7 @@ import networkx as nx
 import pytest
 
 import chidelta.generate as generate_mod
+import chidelta.graph as graph_mod
 import chidelta.sweep as sweep_mod
 import chidelta.witness as witness_mod
 from chidelta.cli import EX_REJECT, cli_dispatch
@@ -115,7 +116,14 @@ def _code(g):
 
 
 def _canonical(g):
-    return generate_mod._decode(g.n, _code(g))
+    return tuple(graph_mod._triangle_rows(g.n, _code(g)))
+
+
+def test_search_code_is_the_graph6_bit_vector():
+    # generation decodes its canonical codes with the graph6 decoder's helper
+    for n in range(1, 8):
+        for g in generate_connected_graphs(n):
+            assert _code(g) == graph_mod._parse_graph6(encode_graph6(g))[1]
 
 
 def test_generation_gives_canonical_representatives():
@@ -362,6 +370,7 @@ def test_serialize_round_trip(cert):
         '{"kind": "mystery", "vertices": [1]}',
         '{"kind": "clique", "vertices": "abc"}',
         '{"kind": "clique", "vertices": [1, "x"]}',
+        '{"kind": "clique", "vertices": [0, 0, 1, 2]}',
         '{"kind": "high_odd_hole"}',
         "[1, 2, 3]",
     ],
@@ -419,6 +428,20 @@ def test_sweep_corpus_replay(tmp_path):
     assert report.orders[-1].graphs == 6
     assert report.orders[-1].cohort == 4
     assert report.total_failures == 0
+
+
+def test_sweep_corpus_accepts_graph6_header():
+    # nauty writes the header at the start of a file; the sweep reads past it
+    lines = [encode_graph6(g) for g in generate_connected_graphs(4)]
+    reports = [
+        theorem_sweep(4, "both", corpus=corpus).to_dict()
+        for corpus in (lines, [">>graph6<<" + lines[0]] + lines[1:])
+    ]
+    for d in reports:
+        for o in d["orders"]:
+            o["seconds"] = None
+    assert reports[0] == reports[1] and reports[0]["ok"]
+    assert sweep_mod._corpus_by_order([">>graph6<<C~"]) == {4: ["C~"]}
 
 
 def test_sweep_aborts_on_bogus_certificate(monkeypatch):
@@ -568,8 +591,8 @@ def test_corpus_sweep_computes_chi_only_where_it_can_equal_delta(monkeypatch):
 
 
 def test_sweep_failure_terminates_pool(monkeypatch):
-    # the header survives decoding but not the worker's round-trip check
-    line = ">>graph6<<" + encode_graph6(graph_from_edges(3, [(0, 1), (1, 2)]))
+    # a disconnected corpus line fails in its worker
+    line = encode_graph6(graph_from_edges(3, [(0, 1)]))
     terminated = []
     original = multiprocessing.pool.Pool.terminate
 
@@ -580,7 +603,7 @@ def test_sweep_failure_terminates_pool(monkeypatch):
     monkeypatch.setattr(multiprocessing.pool.Pool, "terminate", spy)
     with pytest.raises(SweepError) as err:
         theorem_sweep(3, "both", min_n=3, jobs=2, corpus=[line])
-    assert err.value.line == line and "round trip" in err.value.detail
+    assert err.value.line == line and err.value.detail == "graph is disconnected"
     assert len(terminated) == 1
 
 

@@ -17,6 +17,7 @@ from chidelta.coloring import (
     chromatic_number,
     extract_vertex_critical,
     find_k_coloring,
+    is_k_colorable,
     is_proper,
 )
 from chidelta.graph import (
@@ -131,7 +132,7 @@ def exhaustive_splits(g, v):
 
 @pytest.mark.parametrize(
     "n,v,want_a,want_b",
-    [(8, 0, (2, 6), {1, 7}), (7, 0, (2, 5), {1, 6}), (16, 0, (2, 14), {1, 15})],
+    [(10, 0, (2, 8), {1, 9}), (7, 0, (2, 5), {1, 6}), (16, 0, (2, 14), {1, 15})],
 )
 def test_neighborhood_split_on_squared_cycles(n, v, want_a, want_b):
     g = cycle_power(n, 2)
@@ -157,6 +158,12 @@ def test_neighborhood_split_inconsistent_on_three_chromatic():
     # 3-chromatic squared cycle: the coloring of g - v misses a colour around v
     out = neighborhood_split(cycle_power(9, 2), 0)
     assert isinstance(out, Inconsistent)
+
+
+def test_neighborhood_split_inconsistent_when_not_critical():
+    # the squared 8-cycle minus a vertex has no 3-coloring to probe
+    out = neighborhood_split(cycle_power(8, 2), 0)
+    assert isinstance(out, Inconsistent) and "minus 0" in out.reason
 
 
 def test_neighborhood_split_requires_regularity():
@@ -192,10 +199,10 @@ def test_neighborhood_split_rejects_a_coloring_of_another_vertex():
 
 
 def test_split_attachment_counts():
-    g8 = cycle_power(8, 2)
-    s8 = neighborhood_split(g8, 0)
-    assert split_attachment_check(g8, s8, 2) == 1
-    assert split_attachment_check(g8, s8, 6) == 1
+    g10 = cycle_power(10, 2)
+    s10 = neighborhood_split(g10, 0)
+    assert split_attachment_check(g10, s10, 2) == 1
+    assert split_attachment_check(g10, s10, 8) == 1
     g7 = cycle_power(7, 2)
     s7 = neighborhood_split(g7, 0)
     assert split_attachment_check(g7, s7, 2) == 1
@@ -212,15 +219,15 @@ def test_split_attachment_full_closes_clique():
 
 
 def test_split_attachment_rejects_foreign_vertex():
-    g8 = cycle_power(8, 2)
-    s8 = neighborhood_split(g8, 0)
+    g10 = cycle_power(10, 2)
+    s10 = neighborhood_split(g10, 0)
     with pytest.raises(ContractError):
-        split_attachment_check(g8, s8, 1)
+        split_attachment_check(g10, s10, 1)
 
 
 @pytest.mark.parametrize(
     "n,quad",
-    [(8, (2, 1, 7, 6)), (7, (2, 1, 6, 5)), (16, (2, 1, 15, 14))],
+    [(10, (2, 1, 9, 8)), (7, (2, 1, 6, 5)), (16, (2, 1, 15, 14))],
 )
 def test_path_quads_on_squared_cycles(n, quad):
     g = cycle_power(n, 2)
@@ -237,8 +244,12 @@ def test_path_quads_on_squared_cycles(n, quad):
 
 @pytest.mark.parametrize("n", range(7, 21))
 def test_trace_labels_squared_cycles(n):
+    # only the 4-critical squares, n = 1 mod 3, are labelled
     g = cycle_power(n, 2)
     out = trace_squared_cycle(g)
+    if n % 3 != 1:
+        assert isinstance(out, Inconsistent)
+        return
     assert isinstance(out, SquaredCycleLabeling) and out.n == n
     pos = out.position
     assert sorted(pos) == list(range(n))
@@ -392,27 +403,38 @@ def test_squared_cycle_hole_length_and_validity(k):
 def test_squared_cycle_hole_pinned_examples():
     assert squared_cycle_hole(16) == (1, 3, 4, 6, 7, 9, 11, 13, 15)
     assert squared_cycle_hole(10) == (1, 3, 5, 7, 9)
-    assert squared_cycle_hole(8) == (0, 2, 4, 5, 7)
-    g8 = cycle_power(8, 2)
-    cyc = squared_cycle_hole(8)
+    g10 = cycle_power(10, 2)
+    cyc = squared_cycle_hole(10)
     for i in range(5):
-        assert g8.has_edge(cyc[i], cyc[(i + 1) % 5])
+        assert g10.has_edge(cyc[i], cyc[(i + 1) % 5])
     for i, j in itertools.combinations(range(5), 2):
         if abs(i - j) not in (1, 4):
-            assert not g8.has_edge(cyc[i], cyc[j])
+            assert not g10.has_edge(cyc[i], cyc[j])
 
 
 @pytest.mark.parametrize("n", [n for n in range(8, 62) if n % 3 == 2])
 def test_squared_cycle_hole_two_mod_three(n):
-    hole = squared_cycle_hole(n)
-    assert len(hole) % 2 == 1 and len(hole) >= 5
-    assert verify_certificate(cycle_power(n, 2), HighOddHoleWitness(hole)).ok
+    # these squares are not vertex-critical, so the endgame never reaches them
+    with pytest.raises(ValueError, match="not vertex-critical"):
+        squared_cycle_hole(n)
 
 
 @pytest.mark.parametrize("n", [9, 12, 7, 4, 5])
 def test_squared_cycle_hole_rejects(n):
     with pytest.raises(ValueError):
         squared_cycle_hole(n)
+
+
+@pytest.mark.parametrize("n", [n for n in range(7, 62) if n % 3 != 0])
+def test_squared_cycle_minus_a_vertex_three_colorable_iff_one_mod_three(n):
+    # why the endgame serves only n = 1 mod 3: for n = 2 mod 3 the square
+    # minus a vertex is still 4-chromatic, so the square is not vertex-critical
+    assert is_k_colorable(cycle_power(n, 2), 3, range(1, n)) == (n % 3 == 1)
+
+
+@pytest.mark.parametrize("n", [n for n in range(8, 62) if n % 3 != 1])
+def test_trace_inconsistent_on_squares_off_the_endgame(n):
+    assert isinstance(trace_squared_cycle(cycle_power(n, 2)), Inconsistent)
 
 
 # --- residue-class colourings ---------------------------------------------------------------

@@ -22,7 +22,14 @@ from .certificate import (
     verify_certificate,
 )
 from .coloring import chromatic_number
-from .graph import GraphError, cycle_power, decode_graph6, encode_graph6, max_degree
+from .graph import (
+    GraphError,
+    cycle_power,
+    decode_graph6,
+    encode_graph6,
+    is_connected,
+    max_degree,
+)
 from .oracle import oracle_witness
 from .sweep import SweepError, theorem_sweep
 from .witness import ContractError, find_witness
@@ -83,6 +90,9 @@ def _read_graph(arg: str) -> str:
 
 def _cmd_witness(args) -> int:
     g = decode_graph6(_read_graph(args.graph))
+    if not is_connected(g):
+        # the theorem is about connected graphs, whichever route is asked
+        raise ContractError("input graph is disconnected")
     certs: dict[str, Certificate] = {}
     if args.method in ("proof", "both"):
         certs["proof"] = find_witness(g)

@@ -230,15 +230,15 @@ def _connected_level(n: int) -> tuple[tuple[int, ...], ...]:
     everyone = (1 << new) - 1
     for parent in _connected_level(new):
         degree = [row.bit_count() for row in parent]
-        keys = [
-            degree[v] << 8 | sum(degree[u] for u in range(new) if row >> u & 1)
-            for v, row in enumerate(parent)
-        ]
+        dsum = [0]  # dsum[m]: sum of the degrees of the vertices in mask m
+        for d in degree:
+            dsum += [s + d for s in dsum]
+        keys = [degree[v] << 8 | dsum[row] for v, row in enumerate(parent)]
         # v is a non-cut vertex of P + w exactly when w meets every component of P - v
         parts = [_components(parent, everyone ^ 1 << v) for v in range(new)]
         for mask in _orbit_minima(new, _search(new, parent)[1]):
             k = mask.bit_count()
-            key = k << 8 | k + sum(degree[v] for v in range(new) if mask >> v & 1)
+            key = k << 8 | k + dsum[mask]
             tied = 1 << new  # w and the non-cut vertices whose key equals w's
             for v in range(new):
                 child_key = keys[v] + (parent[v] & mask).bit_count()

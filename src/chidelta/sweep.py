@@ -150,44 +150,53 @@ def _in_cohort(g: Graph) -> bool:
     return chromatic_number(g) == delta
 
 
-def _sweep_task(args: tuple[str, str]) -> dict:
-    line, method = args
+def _check(item: Graph | str, method: str, rec: dict) -> str | None:
+    """Run the per-graph work on a generated graph or a corpus line, filling
+    `rec`; returns the failure, if any."""
+    if isinstance(item, str):
+        g = decode_graph6(item)
+        if encode_graph6(g) != item:
+            return "graph6 round trip mismatch"
+    else:
+        g = item
+    if not is_connected(g):
+        return "graph is disconnected"
+    if not _in_cohort(g):
+        return None
+    rec["cohort"] = True
+    if method in ("proof", "both"):
+        # find_witness verifies its own certificate and raises ContractError
+        rec["proof_kind"] = certificate_kind(find_witness(g))
+    if method in ("oracle", "both"):
+        cert = oracle_witness(g)
+        if cert is None:
+            return "oracle found no certificate for a chi=delta graph"
+        verdict = verify_certificate(g, cert)
+        if not verdict:
+            return f"oracle certificate rejected: {verdict.reason}"
+        rec["oracle_kind"] = certificate_kind(cert)
+    return None
+
+
+def _sweep_task(args: tuple[Graph | str, str]) -> dict:
+    item, method = args
     rec: dict = {
-        "line": line,
+        "line": None,
         "cohort": False,
         "proof_kind": None,
         "oracle_kind": None,
         "error": None,
     }
     try:
-        g = decode_graph6(line)
-        if encode_graph6(g) != line:
-            rec["error"] = "graph6 round trip mismatch"
-            return rec
-        if not is_connected(g):
-            rec["error"] = "graph is disconnected"
-            return rec
-        if not _in_cohort(g):
-            return rec
-        rec["cohort"] = True
-        if method in ("proof", "both"):
-            # find_witness verifies its own certificate and raises ContractError
-            rec["proof_kind"] = certificate_kind(find_witness(g))
-        if method in ("oracle", "both"):
-            cert = oracle_witness(g)
-            if cert is None:
-                rec["error"] = "oracle found no certificate for a chi=delta graph"
-                return rec
-            verdict = verify_certificate(g, cert)
-            if not verdict:
-                rec["error"] = f"oracle certificate rejected: {verdict.reason}"
-                return rec
-            rec["oracle_kind"] = certificate_kind(cert)
+        rec["error"] = _check(item, method, rec)
     except ContractError as exc:
         rec["error"] = f"contract error: {exc}"
     except Exception as exc:
         # any other failure still names its graph6 line, in the pool or not
         rec["error"] = f"internal error: {type(exc).__name__}: {exc}"
+    if rec["error"] is not None:
+        # a generated graph gets its graph6 line only when it fails
+        rec["line"] = item if isinstance(item, str) else encode_graph6(item)
     return rec
 
 
@@ -213,10 +222,10 @@ def _corpus_by_order(corpus: Iterable[str]) -> dict[int, list[str]]:
 
 def _tasks_for_order(
     n: int, method: str, corpus: dict[int, list[str]] | None
-) -> Iterator[tuple[str, str]]:
+) -> Iterator[tuple[Graph | str, str]]:
     if corpus is None:
         for g in generate_connected_graphs(n):
-            yield encode_graph6(g), method
+            yield g, method
     else:
         for line in corpus.get(n, ()):
             yield line, method
@@ -242,9 +251,12 @@ def theorem_sweep(
     counts differ only in `jobs` and each order's `seconds`.  The first
     verification failure, or any other
     exception in the per-graph work, aborts with the offending graph6 line.
-    A corpus is checked up front without building graphs (a malformed line
-    raises GraphError naming its line number), then each line is decoded
-    once, in its task; a disconnected graph there is a failure of its line.
+    Generated graphs reach their task as graphs (pickled when jobs > 1), and
+    a generated graph is encoded as graph6 only if it fails.  Only a corpus
+    goes through the codec: it is checked up front without building graphs
+    (a malformed line raises GraphError naming its line number), then each
+    line is decoded once, in its task, and must re-encode to itself; a
+    disconnected graph there is a failure of its line.
     """
     if method not in ("proof", "oracle", "both"):
         raise ValueError(f"unknown method {method!r}")

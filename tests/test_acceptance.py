@@ -23,7 +23,8 @@ from chidelta.coloring import (
     kempe_swap,
 )
 from chidelta.coloring import Coloring
-from chidelta.graph import cycle_power, max_degree
+from chidelta.generate import generate_connected_graphs
+from chidelta.graph import cycle_power, decode_graph6, encode_graph6, max_degree
 from chidelta.oracle import (
     find_clique,
     find_high_odd_hole,
@@ -230,8 +231,13 @@ def test_criterion_6_named_instance_spot_checks():
 
 
 def test_criterion_7_codec_and_generator_regression(audited_sweep):
-    # every sweep task re-encodes its decoded graph and fails the run on any
-    # mismatch, so zero failures means the full corpus round-tripped
+    # generated graphs reach their sweep task without the codec, so the round
+    # trip of every generated graph is checked here
+    for n in range(1, 9):
+        for g in generate_connected_graphs(n):
+            line = encode_graph6(g)
+            back = decode_graph6(line)
+            assert back == g and encode_graph6(back) == line, line
     report, _, _ = audited_sweep
     assert report.total_failures == 0
     assert [o.graphs for o in report.orders] == EXPECTED_COUNTS

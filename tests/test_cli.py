@@ -82,6 +82,14 @@ def test_witness_disconnected_graph(capsys):
     assert code == EX_CONTRACT and "disconnected" in err
 
 
+@pytest.mark.parametrize("method", ["proof", "oracle", "both"])
+def test_witness_rejects_disconnected_graph_under_every_method(capsys, method):
+    # C4 plus an isolated vertex: the oracle alone would find the edge K2 = K_delta
+    code, out, err = run(capsys, "witness", "--graph", "Dl?", "--method", method)
+    assert code == EX_CONTRACT and out == ""
+    assert err == "error: input graph is disconnected\n"
+
+
 def test_witness_malformed_graph6(capsys):
     code, _, err = run(capsys, "witness", "--graph", "C~~~")
     assert code == EX_CONTRACT and "error" in err

@@ -1,4 +1,5 @@
 import itertools
+import pickle
 import random
 
 import networkx as nx
@@ -232,6 +233,15 @@ def test_codec_round_trip(g):
     line = encode_graph6(g)
     assert decode_graph6(line) == g
     assert encode_graph6(decode_graph6(line)) == line
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs(max_n=14))
+def test_pickle_round_trip(g):
+    # the sweep's process pool sends generated graphs to its workers this way
+    back = pickle.loads(pickle.dumps(g))
+    assert back == g
+    assert all(back.neighbors(v) == g.neighbors(v) for v in range(g.n))
 
 
 @settings(max_examples=150, deadline=None)

@@ -25,6 +25,7 @@ from chidelta.certificate import (
     certificate_text,
     deserialize_certificate,
     serialize_certificate,
+    verify_certificate,
 )
 from chidelta.coloring import chromatic_number
 from chidelta.graph import (
@@ -444,13 +445,47 @@ def test_sweep_corpus_accepts_graph6_header():
     assert sweep_mod._corpus_by_order([">>graph6<<C~"]) == {4: ["C~"]}
 
 
+def _count_codec_calls(monkeypatch) -> dict[str, list]:
+    calls: dict[str, list] = {"decode_graph6": [], "encode_graph6": []}
+    for name, log in calls.items():
+        original = getattr(sweep_mod, name)
+
+        def counting(arg, original=original, log=log):
+            log.append(arg)
+            return original(arg)
+
+        monkeypatch.setattr(sweep_mod, name, counting)
+    return calls
+
+
+def test_generated_sweep_never_calls_the_codec(monkeypatch):
+    # generated graphs reach their task as graphs; only a corpus is decoded
+    calls = _count_codec_calls(monkeypatch)
+    report = theorem_sweep(7, "both")
+    assert report.ok and report.total_graphs == sum(KNOWN_COUNTS[n] for n in range(1, 8))
+    assert calls == {"decode_graph6": [], "encode_graph6": []}
+
+
 def test_sweep_aborts_on_bogus_certificate(monkeypatch):
-    monkeypatch.setattr(
-        sweep_mod, "oracle_witness", lambda g: CliqueWitness(frozenset(range(g.n)))
+    def planted(g):
+        return CliqueWitness(frozenset(range(g.n)))
+
+    monkeypatch.setattr(sweep_mod, "oracle_witness", planted)
+    failing = next(
+        g
+        for n in range(1, 5)
+        for g in generate_connected_graphs(n)
+        if sweep_mod._in_cohort(g) and not verify_certificate(g, planted(g))
     )
-    with pytest.raises(SweepError) as err:
-        theorem_sweep(4, "oracle")
-    assert decode_graph6(err.value.line).n <= 4
+    calls = _count_codec_calls(monkeypatch)
+    for jobs in (1, 2):
+        with pytest.raises(SweepError) as err:
+            theorem_sweep(4, "oracle", jobs=jobs)
+        assert err.value.line == encode_graph6(failing)
+        assert err.value.detail.startswith("oracle certificate rejected")
+    # the failing graph is encoded once, to name it; with jobs=2 a worker
+    # encodes it, so the counters here see the serial run only
+    assert calls == {"decode_graph6": [], "encode_graph6": [failing]}
 
 
 def test_sweep_verifies_each_certificate_once(monkeypatch):
@@ -482,14 +517,7 @@ def test_rejected_proof_certificate_aborts(monkeypatch):
 
 def test_corpus_lines_decoded_at_most_twice(monkeypatch):
     lines = [encode_graph6(g) for n in range(1, 7) for g in generate_connected_graphs(n)]
-    calls = []
-    original = sweep_mod.decode_graph6
-
-    def counting(text):
-        calls.append(text)
-        return original(text)
-
-    monkeypatch.setattr(sweep_mod, "decode_graph6", counting)
+    calls = _count_codec_calls(monkeypatch)["decode_graph6"]
     report = theorem_sweep(6, "both", jobs=1, corpus=lines)
     assert report.total_graphs == len(lines)
     assert len(calls) <= 2 * len(lines)
@@ -498,14 +526,7 @@ def test_corpus_lines_decoded_at_most_twice(monkeypatch):
 def test_corpus_lines_decoded_once(monkeypatch):
     # the up-front pass reads each line's order without building its graph
     lines = [encode_graph6(g) for n in range(1, 7) for g in generate_connected_graphs(n)]
-    calls = []
-    original = sweep_mod.decode_graph6
-
-    def counting(text):
-        calls.append(text)
-        return original(text)
-
-    monkeypatch.setattr(sweep_mod, "decode_graph6", counting)
+    calls = _count_codec_calls(monkeypatch)["decode_graph6"]
     report = theorem_sweep(6, "both", jobs=1, corpus=lines)
     assert report.ok and report.total_graphs == len(lines)
     assert len(calls) == len(lines)

@@ -67,6 +67,8 @@ def _verify_clique(g: Graph, cert: CliqueWitness) -> Verdict:
     verts = sorted(cert.vertices)
     if any(not 0 <= v < g.n for v in verts):
         return Verdict(False, "vertex out of range")
+    if g.n == 0:
+        return Verdict(False, "empty graph has no maximum degree")
     want = max_degree(g)
     if len(verts) != want:
         return Verdict(False, f"clique size {len(verts)} != max degree {want}")

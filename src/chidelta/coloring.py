@@ -188,7 +188,9 @@ def _core_coloring(
     # caller that knows the greedy clique of `verts` to have at most k
     # vertices passes `clique_fits`, and it is not recomputed unless peeling
     # changed the set.  The clique only cuts short a search that would
-    # return None, so it never changes the coloring returned.
+    # return None, so it never changes the coloring returned.  An empty
+    # core gets the empty coloring `find_k_coloring(g, k, [])` would return,
+    # without the clique or the search.
     adj = g.adjacency_mask
     inside = 0
     for v in verts:
@@ -204,6 +206,8 @@ def _core_coloring(
         if len(left) == len(core):
             break
         core = left
+    if not core:
+        return core, Coloring(k, (0,) * g.n)
     if not (clique_fits and core is verts) and len(_greedy_clique(g, core)) > k:
         return core, None
     return core, find_k_coloring(g, k, core)

@@ -76,6 +76,8 @@ class Graph:
 
 # _BYTE_BITS[b] lists the set bits of the byte b in ascending order
 _BYTE_BITS = tuple(tuple(i for i in range(8) if b >> i & 1) for b in range(256))
+# _REVERSED[b] is the byte b with its bit order reversed
+_REVERSED = tuple(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
 def _bits(mask: int) -> tuple[int, ...]:
@@ -203,17 +205,34 @@ def _parse_graph6(text: str) -> tuple[int, int]:
     return n, stream >> pad
 
 
+def _reversed_bits(x: int, width: int) -> int:
+    """The `width` low bits of x (x < 2**width) in reverse order, a byte at a time."""
+    if width <= 8:
+        return _REVERSED[x] >> (8 - width)
+    out = 0
+    for _ in range((width + 7) >> 3):
+        out = out << 8 | _REVERSED[x & 255]
+        x >>= 8
+    return out >> (-width & 7)
+
+
 def _triangle_rows(n: int, bits: int) -> list[int]:
     """Adjacency rows of the graph on n vertices whose upper-triangle bit
-    vector, in graph6 pair order with pair (0,1) most significant, is `bits`."""
+    vector, in graph6 pair order with pair (0,1) most significant, is `bits`.
+
+    Column j of the vector is j bits in a row, the pairs (0,j) ... (j-1,j)
+    with (0,j) most significant, so it is read as one chunk from the low end
+    of what is left: reversed, it is row j's bits below j, and bit j is then
+    set in the row of each of those lower neighbours.
+    """
     rows = [0] * n
-    idx = n * (n - 1) // 2
-    for j in range(1, n):
-        for i in range(j):
-            idx -= 1
-            if bits >> idx & 1:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
+    for j in range(n - 1, 0, -1):
+        low = _reversed_bits(bits & ((1 << j) - 1), j)
+        bits >>= j
+        rows[j] |= low
+        bit = 1 << j
+        for i in _bits(low):
+            rows[i] |= bit
     return rows
 
 
@@ -230,17 +249,18 @@ def decode_graph6(text: str) -> Graph:
 
 
 def encode_graph6(g: Graph) -> str:
-    """Encode a graph as a canonical graph6 line (no header)."""
+    """Encode a graph as a canonical graph6 line (no header).
+
+    The bit vector is built a column at a time, the inverse of
+    `_triangle_rows`: column j is row j's bits below j, reversed.
+    """
     n = g.n
     if n > GRAPH6_MAX_ORDER:
         raise GraphError(f"order {n} exceeds graph6 single-byte range")
-    # the pairs (0, j), ..., (j-1, j) of column j are row j's bits below j
     adj = g._adj
     stream = 0
     for j in range(1, n):
-        row = adj[j]
-        for i in range(j):
-            stream = stream << 1 | (row >> i & 1)
+        stream = stream << j | _reversed_bits(adj[j] & ((1 << j) - 1), j)
     pairs = n * (n - 1) // 2
     pad = -pairs % 6
     stream <<= pad

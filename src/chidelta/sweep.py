@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import multiprocessing
 import time
 from dataclasses import asdict, dataclass, field
 from typing import Iterable, Iterator
@@ -246,11 +245,12 @@ def theorem_sweep(
     chi < delta by one (delta - 1)-colourability test and computes the exact
     chi only for the rest: the cohort, complete graphs and odd cycles.
 
-    Per-graph work is independent; with jobs > 1 a process pool is used and
-    results are merged in generation order, so reports for different worker
-    counts differ only in `jobs` and each order's `seconds`.  The first
-    verification failure, or any other
-    exception in the per-graph work, aborts with the offending graph6 line.
+    Per-graph work is independent; with jobs > 1 a process pool is used
+    (`multiprocessing` is imported only then, so a serial sweep never
+    loads it) and results are merged in generation order, so reports for
+    different worker counts differ only in `jobs` and each order's
+    `seconds`.  The first verification failure, or any other exception in
+    the per-graph work, aborts with the offending graph6 line.
     Generated graphs reach their task as graphs (pickled when jobs > 1), and
     a generated graph is encoded as graph6 only if it fails.  Only a corpus
     goes through the codec: it is checked up front without building graphs
@@ -267,7 +267,11 @@ def theorem_sweep(
         raise ValueError(f"order range {min_n}..{max_n} outside 1..{cap}")
     by_order = _corpus_by_order(corpus) if corpus is not None else None
     report = SweepReport(min_n, max_n, method, jobs, by_order is None)
-    pool = multiprocessing.Pool(jobs) if jobs > 1 else None
+    pool = None
+    if jobs > 1:
+        import multiprocessing  # only a parallel sweep pays for the pool machinery
+
+        pool = multiprocessing.Pool(jobs)
     try:
         for n in range(min_n, max_n + 1):
             tally = OrderTally(n)

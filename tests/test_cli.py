@@ -1,6 +1,9 @@
 import io
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -19,6 +22,32 @@ def run(capsys, *argv):
     code = cli_dispatch(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def test_serial_use_never_loads_multiprocessing():
+    # only a sweep with --jobs > 1 needs a pool; a fresh interpreter that
+    # imports the CLI and runs a serial sweep must not have loaded it
+    script = (
+        "import contextlib, io, sys\n"
+        "import chidelta.cli as cli\n"
+        "loaded = ['multiprocessing' in sys.modules]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.cli_dispatch(['sweep', '--max-n', '4', '--jobs', '1']) == 0\n"
+        "loaded.append('multiprocessing' in sys.modules)\n"
+        "print(loaded)\n"
+    )
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        check=True,
+    )
+    assert done.stdout.strip() == "[False, False]"
 
 
 # --- witness ---------------------------------------------------------------
@@ -150,6 +179,15 @@ def test_verify_rejects_non_utf8_certificate(capsys, tmp_path):
     path.write_bytes(b'{"kind": "clique", "vertices": [0, 1, 2]}\xff\xfe')
     code, out, _ = run(capsys, "verify", "--graph", "C~", "--certificate", str(path))
     assert code == EX_REJECT and out.startswith("reject: malformed certificate: ")
+
+
+def test_verify_on_the_empty_graph_is_a_rejection(capsys, tmp_path):
+    # '?' is a well-formed graph6 line: a certificate for it is rejected, not an error
+    path = tmp_path / "cert.json"
+    path.write_text('{"kind": "clique", "vertices": []}')
+    code, out, err = run(capsys, "verify", "--graph", "?", "--certificate", str(path))
+    assert code == EX_REJECT and err == ""
+    assert out.strip() == "reject: empty graph has no maximum degree"
 
 
 def test_verify_missing_file_is_io_error(capsys, tmp_path):

@@ -1,6 +1,7 @@
 import itertools
 import pickle
 import random
+from pathlib import Path
 
 import networkx as nx
 import pytest
@@ -169,6 +170,36 @@ def test_encode_matches_reference_at_every_order():
             assert line == naive_graph6_encode(g)
             assert decode_graph6(line) == g
     assert residues == {0, 1, 3, 4}
+
+
+CORPUS_N8 = Path(__file__).resolve().parents[1] / "bench" / "data" / "connected_n8.g6"
+
+
+def _bitwise_decode(line):
+    """Reference graph6 decoder, one bit at a time from a '0'/'1' string of
+    the body, in pair order (0,1), (0,2), (1,2), (0,3), ..."""
+    n = ord(line[0]) - 63
+    bits = "".join(format(ord(ch) - 63, "06b") for ch in line[1:])
+    rows = [0] * n
+    k = 0
+    for j in range(n):
+        for i in range(j):
+            if bits[k] == "1":
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+            k += 1
+    return Graph(n, rows)
+
+
+def test_codec_over_the_full_corpus():
+    # every connected graph with n <= 8: decoded as the reference decodes it,
+    # and re-encoded to its own line
+    lines = CORPUS_N8.read_text(encoding="ascii").splitlines()
+    assert len(lines) == 12113
+    for line in lines:
+        g = decode_graph6(line)
+        assert g == _bitwise_decode(line), line
+        assert encode_graph6(g) == line
 
 
 def _first_graph_error(n, adj):

@@ -202,6 +202,15 @@ def test_verify_c7_certificate():
     assert not v.ok and "order" in v.reason
 
 
+def test_verify_rejects_every_certificate_on_the_empty_graph():
+    # the empty graph has no maximum degree: a verdict, not an exception
+    empty = graph_from_edges(0, [])
+    v = verify_certificate(empty, CliqueWitness(frozenset()))
+    assert v == Verdict(False, "empty graph has no maximum degree")
+    for cert in (HighOddHoleWitness(()), ExceptionalC7Complement(())):
+        assert not verify_certificate(empty, cert).ok
+
+
 def test_verify_rejects_unknown_certificate_type():
     assert verify_certificate(k_n(4), object()) == Verdict(False, "unknown certificate type object")
 

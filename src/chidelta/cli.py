@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 
 from .certificate import (
@@ -23,6 +22,7 @@ from .certificate import (
 )
 from .coloring import chromatic_number
 from .graph import (
+    GRAPH6_MAX_ORDER,
     GraphError,
     cycle_power,
     decode_graph6,
@@ -39,8 +39,6 @@ EX_REJECT = 1
 EX_CONTRACT = 2
 EX_USAGE = 64
 EX_IOERR = 74
-
-JOBS_ENV = "CHIDELTA_JOBS"
 
 
 class _UsageError(Exception):
@@ -75,12 +73,13 @@ def _build_parser() -> _Parser:
     s.add_argument("--max-n", type=int, required=True)
     s.add_argument("--min-n", type=int, default=1)
     s.add_argument("--method", choices=("proof", "oracle", "both"), default="both")
-    s.add_argument("--jobs", type=int, default=None, help=f"workers (default ${JOBS_ENV} or 1)")
+    s.add_argument("--jobs", type=int, default=1, help="worker processes")
     s.add_argument("--corpus", help="replay graph6 lines from a file instead of generating")
     s.add_argument("--json", dest="json_out", help="also write the JSON report to this path")
 
     g = sub.add_parser("gen", help="emit generator graphs as graph6")
-    g.add_argument("--squared-cycle", type=int, required=True, metavar="N")
+    g.add_argument("--squared-cycle", type=int, required=True, metavar="N",
+                   help=f"square of the N-cycle, 3 <= N <= {GRAPH6_MAX_ORDER}")
     return parser
 
 
@@ -149,14 +148,6 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    jobs = args.jobs
-    if jobs is None:
-        try:
-            jobs = int(os.environ.get(JOBS_ENV, "1"))
-        except ValueError:
-            raise _UsageError(
-                f"${JOBS_ENV} must be an integer, got {os.environ[JOBS_ENV]!r}"
-            ) from None
     corpus = None
     if args.corpus:
         # undecodable bytes survive as surrogates, which the graph6
@@ -165,7 +156,7 @@ def _cmd_sweep(args) -> int:
             corpus = fh.readlines()
     try:
         report = theorem_sweep(
-            args.max_n, method=args.method, min_n=args.min_n, jobs=jobs, corpus=corpus
+            args.max_n, method=args.method, min_n=args.min_n, jobs=args.jobs, corpus=corpus
         )
     except SweepError as exc:
         print(f"sweep failed: {exc.detail}", file=sys.stderr)
@@ -184,8 +175,8 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_gen(args) -> int:
     n = args.squared_cycle
-    if n < 3:
-        raise _UsageError(f"squared cycle needs at least 3 vertices, got {n}")
+    if not 3 <= n <= GRAPH6_MAX_ORDER:
+        raise _UsageError(f"squared cycle order must be in 3..{GRAPH6_MAX_ORDER}, got {n}")
     print(encode_graph6(cycle_power(n, 2)))
     return EX_OK
 

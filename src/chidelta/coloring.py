@@ -262,18 +262,6 @@ def kempe_chain(g: Graph, c: Coloring, start: int, a: int, b: int) -> KempeChain
     return KempeChain((a, b), start, frozenset(members))
 
 
-def kempe_swap(c: Coloring, chain: KempeChain) -> Coloring:
-    """Exchange the chain's two colours on its members; everything else unchanged."""
-    a, b = chain.colors
-    swapped = list(c.colors)
-    for v in chain.members:
-        if swapped[v] == a:
-            swapped[v] = b
-        elif swapped[v] == b:
-            swapped[v] = a
-    return Coloring(c.k, tuple(swapped))
-
-
 def shortest_path_in_chain(
     g: Graph, chain: KempeChain, start: int, targets: Iterable[int]
 ) -> tuple[int, ...] | None:
@@ -310,37 +298,38 @@ def shortest_path_in_chain(
 
 
 def extract_vertex_critical(
-    g: Graph, chi: int | None = None, colorings: dict[int, Coloring] | None = None
+    g: Graph, chi: int, colorings: dict[int, Coloring]
 ) -> frozenset[int]:
     """Vertex set of a vertex-critical subgraph with the same chromatic number.
 
-    Takes the chromatic number chi of g from a caller that already has it,
-    or computes it once; then one scan in ascending vertex order deletes
-    every vertex whose removal keeps chi.  Deleting vertices never raises
-    chi, so v can go exactly when the remaining vertices admit no
-    (chi - 1)-coloring.  `_core_coloring` decides that as `is_k_colorable`
-    does: peel to the (chi - 1)-core, bound by a greedy clique, then one
-    exact search on the core.  One pass suffices: a vertex found necessary
-    in a superset stays necessary in every later subset, so a rescan would
-    delete nothing.
+    Takes the chromatic number chi of g from the caller, which has it
+    already; then one scan in ascending vertex order deletes every vertex
+    whose removal keeps chi.  Deleting vertices never raises chi, so v can
+    go exactly when the remaining vertices admit no (chi - 1)-coloring.
+    `_core_coloring` decides that as `is_k_colorable` does: peel to the
+    (chi - 1)-core, bound by a greedy clique, then one exact search on the
+    core.  One pass suffices: a vertex found necessary in a superset stays
+    necessary in every later subset, so a rescan would delete nothing.
 
     A kept vertex v is kept because the other remaining vertices have a
     (chi - 1)-coloring.  When peeling removed none of them, that coloring
-    covers the whole trial set, and if `colorings` is given it is stored
-    there under v.  When no vertex before v was deleted, it is the coloring
-    of g - v that `find_k_coloring(g, chi - 1, others)` returns.
+    covers the whole trial set, and it is stored in `colorings` under v.
+    When no vertex before v was deleted, it is the coloring of g - v that
+    `find_k_coloring(g, chi - 1, others)` returns.  If the scan deletes
+    nothing from a chi-regular g, no trial set peels either (each of its
+    vertices keeps at least chi - 1 neighbours), so the coloring of g - v is
+    stored for every v: the regular branch of the proof route relies on it.
     """
     if g.n == 0:
         raise ValueError("empty graph")
-    target = chromatic_number(g) if chi is None else chi
     keep = list(range(g.n))
     for v in range(g.n):
         trial = [u for u in keep if u != v]
         if not trial:
             continue
-        core, phi = _core_coloring(g, target - 1, trial)
+        core, phi = _core_coloring(g, chi - 1, trial)
         if phi is None:
             keep = trial
-        elif colorings is not None and len(core) == len(trial):
+        elif len(core) == len(trial):
             colorings[v] = phi
     return frozenset(keep)

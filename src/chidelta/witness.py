@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Union
+from typing import Sequence, Union
 
 from .certificate import (
     Certificate, CliqueWitness, ExceptionalC7Complement, HighOddHoleWitness, verify_certificate
@@ -46,20 +46,14 @@ class Adjacent:
 
 
 @dataclass(frozen=True)
-class Hole:
-    """Probe outcome: a high-odd-hole certificate was closed (unverified, as built)."""
-
-    certificate: HighOddHoleWitness
-
-
-@dataclass(frozen=True)
 class Inconsistent:
     """Probe outcome: the instance contradicts its claimed chromatic number."""
 
     reason: str
 
 
-ProbeOutcome = Union[Adjacent, Hole, Inconsistent]
+# A closed hole is returned as its certificate, unverified, as built.
+ProbeOutcome = Union[Adjacent, HighOddHoleWitness, Inconsistent]
 
 
 @dataclass(frozen=True)
@@ -100,22 +94,6 @@ class SquaredCycleLabeling:
         return tuple(inverse)
 
 
-@dataclass(frozen=True)
-class ConflictReport:
-    """A forced monochromatic edge witnessing that no 3-coloring exists.
-
-    `forced` replays the propagation: positions 0,1,2 seed colours 1,2,3 and
-    every later position is determined by the triangle with its two
-    predecessors; `edge` is the first wrap-around edge whose endpoints were
-    forced to the same colour.
-    """
-
-    n: int
-    edge: tuple[int, int]
-    color: int
-    forced: tuple[int, ...]
-
-
 def kempe_adjacency_probe(
     h: Graph, x: int, y: int, z: int, phi: Coloring
 ) -> ProbeOutcome:
@@ -128,7 +106,7 @@ def kempe_adjacency_probe(
     the shortest alternating path from y to z closes through x into a cycle
     that is odd (the path ends in different colours, so it has evenly many
     vertices) and chordless (a chord would shortcut the shortest path, and x
-    has no other neighbour coloured phi(y) or phi(z)).
+    has no other neighbour coloured phi(y) or phi(z)); that hole is returned.
     """
     uncolored = [v for v in range(h.n) if not phi.is_colored(v)]
     if uncolored != [x]:
@@ -151,7 +129,20 @@ def kempe_adjacency_probe(
             f"swap on the ({cy},{cz})-component of {y} would extend the coloring to {x}"
         )
     path = shortest_path_in_chain(h, chain, y, {z})
-    return Hole(HighOddHoleWitness(tuple(path) + (x,)))
+    return HighOddHoleWitness(tuple(path) + (x,))
+
+
+def _probe_pairs(
+    h: Graph, x: int, verts: Sequence[int], phi: Coloring
+) -> HighOddHoleWitness | Inconsistent | None:
+    # Probe every pair of `verts` around x in order; the first hole or
+    # Inconsistent ends it, and None means every pair is adjacent.
+    for i, y in enumerate(verts):
+        for z in verts[i + 1:]:
+            outcome = kempe_adjacency_probe(h, x, y, z, phi)
+            if not isinstance(outcome, Adjacent):
+                return outcome
+    return None
 
 
 def degree_deficient_probe(h: Graph, v: int) -> Certificate:
@@ -177,34 +168,27 @@ def degree_deficient_probe(h: Graph, v: int) -> Certificate:
         raise ContractError(
             f"coloring extends to {v}; the claimed chromatic number is too high"
         )
-    for i, y in enumerate(nbrs):
-        for z in nbrs[i + 1:]:
-            outcome = kempe_adjacency_probe(h, v, y, z, phi)
-            if isinstance(outcome, Hole):
-                return outcome.certificate
-            if isinstance(outcome, Inconsistent):
-                raise ContractError(f"probe at ({y},{z}) around {v}: {outcome.reason}")
-    return CliqueWitness(frozenset(nbrs) | {v})
+    outcome = _probe_pairs(h, v, nbrs, phi)
+    if isinstance(outcome, Inconsistent):
+        raise ContractError(f"probe around {v}: {outcome.reason}")
+    return outcome or CliqueWitness(frozenset(nbrs) | {v})
 
 
 def neighborhood_split(
-    g: Graph, v: int, phi: Coloring | None = None
+    g: Graph, v: int, phi: Coloring
 ) -> NeighborhoodSplit | Certificate | Inconsistent:
     """Split N(v) of a regular graph into the duplicated-colour pair and a clique.
 
-    Colours g - v with one colour fewer than the degree.  Exactly one colour
-    must repeat among the neighbours (pigeonhole, provided every colour shows
-    up); the repeated pair A is non-adjacent by properness.  Pairs inside
-    B = N(v) - A are certified adjacent by the Kempe probe, and each B-vertex
-    is attached to A via its two-colour component towards A: a single-edge
-    path certifies attachment, a longer path closes an odd hole through v,
-    and a missing path means the coloring could be rearranged to extend,
-    which is Inconsistent.  So is a graph minus v with no such coloring at
-    all: the instance is not vertex-critical.
-
-    A caller that already holds the (max degree - 1)-coloring of g - v, such
-    as the critical scan's, passes it as `phi`, and g - v is not coloured
-    again.
+    `phi` is a (max degree - 1)-coloring of exactly g - v, the one the
+    critical scan found when it kept v; any other coloring is a
+    ContractError naming v.  Exactly one colour must repeat among the
+    neighbours (pigeonhole, provided every colour shows up); the repeated
+    pair A is non-adjacent by properness.  Pairs inside B = N(v) - A are
+    certified adjacent by the Kempe probe, and each B-vertex is attached to
+    A via its two-colour component towards A: a single-edge path certifies
+    attachment, a longer path closes an odd hole through v, and a missing
+    path means the coloring could be rearranged to extend, which is
+    Inconsistent.
     """
     delta = max_degree(g)
     if delta < 4:
@@ -212,11 +196,7 @@ def neighborhood_split(
     if min_degree(g) != delta:
         raise ContractError("graph is not regular")
     others = [u for u in range(g.n) if u != v]
-    if phi is None:
-        phi = find_k_coloring(g, delta - 1, others)
-        if phi is None:
-            return Inconsistent(f"graph minus {v} admits no ({delta - 1})-coloring")
-    elif phi.k != delta - 1 or list(phi.colored_vertices()) != others:
+    if phi.k != delta - 1 or list(phi.colored_vertices()) != others:
         raise ContractError(f"given coloring is not a ({delta - 1})-coloring of g minus {v}")
     by_color: dict[int, list[int]] = {}
     for u in g.neighbors(v):
@@ -230,13 +210,9 @@ def neighborhood_split(
     a_pair = tuple(sorted(by_color[duplicated[0]]))
     dup_color = duplicated[0]
     b_set = sorted(u for u in g.neighbors(v) if u not in a_pair)
-    for i, y in enumerate(b_set):
-        for z in b_set[i + 1:]:
-            outcome = kempe_adjacency_probe(g, v, y, z, phi)
-            if isinstance(outcome, Hole):
-                return outcome.certificate
-            if isinstance(outcome, Inconsistent):
-                return outcome
+    outcome = _probe_pairs(g, v, b_set, phi)
+    if outcome is not None:
+        return outcome
     for b in sorted(b_set, key=phi.color_of):
         chain = kempe_chain(g, phi, b, dup_color, phi.color_of(b))
         path = shortest_path_in_chain(g, chain, b, set(a_pair))
@@ -315,10 +291,12 @@ def _quads(
 ) -> dict[int, PathQuad] | Certificate | Inconsistent:
     # The path quad at every vertex, in vertex order: split, both attachment
     # checks, then the quad.  The first certificate or Inconsistent ends it.
-    # `colorings` holds colorings of g - v already found, keyed by v.
+    # `colorings` holds the critical scan's coloring of g - v for every v.
     quads: dict[int, PathQuad] = {}
     for v in range(g.n):
-        split = neighborhood_split(g, v, colorings.get(v))
+        if v not in colorings:
+            raise ContractError(f"the critical scan stored no coloring of g minus {v}")
+        split = neighborhood_split(g, v, colorings[v])
         if not isinstance(split, NeighborhoodSplit):
             return split
         for a in split.a:
@@ -333,7 +311,7 @@ def _quads(
 
 
 def trace_squared_cycle(
-    g: Graph, colorings: dict[int, Coloring] | None = None
+    g: Graph, colorings: dict[int, Coloring]
 ) -> SquaredCycleLabeling | Certificate | Inconsistent:
     """Label a 4-regular graph as the square of a cycle, or fail trying.
 
@@ -344,15 +322,16 @@ def trace_squared_cycle(
     previous one.  The walk must visit every vertex exactly once, and every
     vertex's neighbourhood must then be that of its walk position in the
     square of the n-cycle.  The result is the only such labeling with vertex 0
-    at position 0 and b1 at position 1.  `colorings` may hold 3-colorings of
-    g - v, keyed by v, for the splits to reuse.
+    at position 0 and b1 at position 1.  `colorings` must hold, for every v,
+    the 3-coloring of g - v that `extract_vertex_critical` stored; a missing
+    one is a ContractError naming v.
     """
     if g.n == 0 or not is_connected(g):
         raise ContractError("graph must be connected and nonempty")
     if max_degree(g) != 4 or min_degree(g) != 4:
         raise ContractError("graph is not 4-regular")
     n = g.n
-    quads = _quads(g, colorings or {})
+    quads = _quads(g, colorings)
     if not isinstance(quads, dict):
         return quads
     walk = [0, quads[0].b1]
@@ -409,36 +388,6 @@ def squared_cycle_hole(n: int) -> tuple[int, ...]:
     return tuple(seq)
 
 
-def sequence_three_coloring(n: int) -> Coloring:
-    """Proper 3-coloring of the squared n-cycle for n divisible by 3."""
-    if n % 3 != 0 or n < 6:
-        raise ValueError(f"n={n} must be a multiple of 3, at least 6")
-    return Coloring(3, tuple(p % 3 + 1 for p in range(n)))
-
-
-def forced_coloring_conflict(n: int) -> ConflictReport:
-    """Forced monochromatic edge showing the squared n-cycle has no 3-coloring.
-
-    Seeds colours 1, 2, 3 on positions 0, 1, 2 (forced up to renaming, since
-    they form a triangle) and propagates: every later position completes a
-    triangle with its two predecessors, so its colour is determined.  When n
-    is not a multiple of 3 the pattern cannot close, and one of the wrap
-    edges comes back monochromatic; that edge is reported.
-    """
-    if n < 7:
-        raise ValueError(f"n={n} too small")
-    if n % 3 == 0:
-        raise ValueError(f"n={n} is divisible by 3; no conflict exists")
-    forced = [0] * n
-    forced[0], forced[1], forced[2] = 1, 2, 3
-    for p in range(3, n):
-        forced[p] = 6 - forced[p - 1] - forced[p - 2]
-    for u, w in ((n - 2, 0), (n - 1, 0), (n - 1, 1)):
-        if forced[u] == forced[w]:
-            return ConflictReport(n, (u, w), forced[u], tuple(forced))
-    raise AssertionError(f"propagation closed without conflict at n={n}")
-
-
 def _shortest_odd_hole(g: Graph) -> tuple[int, ...] | None:
     best: tuple[int, ...] | None = None
     for cycle in odd_holes(g, 2):
@@ -468,11 +417,12 @@ def find_witness(g: Graph) -> Certificate:
     directly.  A regular critical subgraph (necessarily the whole graph) gets
     the path quad at every vertex, in vertex order: neighbourhood split, both
     attachment checks and the quad, where the first certificate wins.  Each
-    split probes the coloring of g - v that the critical scan found when it
-    kept v, so no g - v is coloured twice.  At degree 4 that sweep is the
-    first half of `trace_squared_cycle`, whose labeling then yields the
-    explicit hole (or the complement of C7); at degree >= 5 a silent sweep
-    falls back to the brute-force oracle.
+    split requires the coloring of g - v that the critical scan found when
+    it kept v, so no g - v is coloured twice; on this branch the scan
+    deleted nothing and no trial set peeled, so it stored one for every v.
+    At degree 4 that sweep is the first half of `trace_squared_cycle`, whose
+    labeling then yields the explicit hole (or the complement of C7); at
+    degree >= 5 a silent sweep falls back to the brute-force oracle.
 
     The proof route's one check: the certificate is verified against g before
     it is returned, and a rejection raises ContractError.

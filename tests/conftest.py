@@ -2,16 +2,20 @@
 
 The oracles here are deliberately separate implementations: a string-based
 graph6 reference codec, chromatic number by honest enumeration of all
-assignments, and networkx for isomorphism and codec cross-checks.
+assignments, and networkx for isomorphism and codec cross-checks.  The Kempe
+swap and the residue-class colourings of squared cycles are facts the tests
+check about the proof's setting; no route of the program needs them.
 """
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 
 import networkx as nx
 import pytest
 
+from chidelta.coloring import Coloring, KempeChain
 from chidelta.graph import Graph, complement, cycle_power, graph_from_edges
 
 
@@ -94,3 +98,61 @@ def named_instances():
         "grotzsch": grotzsch(),
         "c7c": c7_complement(),
     }
+
+
+def kempe_swap(c: Coloring, chain: KempeChain) -> Coloring:
+    """Exchange the chain's two colours on its members; everything else unchanged."""
+    a, b = chain.colors
+    swapped = list(c.colors)
+    for v in chain.members:
+        if swapped[v] == a:
+            swapped[v] = b
+        elif swapped[v] == b:
+            swapped[v] = a
+    return Coloring(c.k, tuple(swapped))
+
+
+@dataclass(frozen=True)
+class ConflictReport:
+    """A forced monochromatic edge witnessing that no 3-coloring exists.
+
+    `forced` replays the propagation: positions 0,1,2 seed colours 1,2,3 and
+    every later position is determined by the triangle with its two
+    predecessors; `edge` is the first wrap-around edge whose endpoints were
+    forced to the same colour.
+    """
+
+    n: int
+    edge: tuple[int, int]
+    color: int
+    forced: tuple[int, ...]
+
+
+def sequence_three_coloring(n: int) -> Coloring:
+    """Proper 3-coloring of the squared n-cycle for n divisible by 3."""
+    if n % 3 != 0 or n < 6:
+        raise ValueError(f"n={n} must be a multiple of 3, at least 6")
+    return Coloring(3, tuple(p % 3 + 1 for p in range(n)))
+
+
+def forced_coloring_conflict(n: int) -> ConflictReport:
+    """Forced monochromatic edge showing the squared n-cycle has no 3-coloring.
+
+    Seeds colours 1, 2, 3 on positions 0, 1, 2 (forced up to renaming, since
+    they form a triangle) and propagates: every later position completes a
+    triangle with its two predecessors, so its colour is determined.  When n
+    is not a multiple of 3 the pattern cannot close, and one of the wrap
+    edges comes back monochromatic; that edge is reported.
+    """
+    if n < 7:
+        raise ValueError(f"n={n} too small")
+    if n % 3 == 0:
+        raise ValueError(f"n={n} is divisible by 3; no conflict exists")
+    forced = [0] * n
+    forced[0], forced[1], forced[2] = 1, 2, 3
+    for p in range(3, n):
+        forced[p] = 6 - forced[p - 1] - forced[p - 2]
+    for u, w in ((n - 2, 0), (n - 1, 0), (n - 1, 1)):
+        if forced[u] == forced[w]:
+            return ConflictReport(n, (u, w), forced[u], tuple(forced))
+    raise AssertionError(f"propagation closed without conflict at n={n}")

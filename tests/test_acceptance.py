@@ -20,7 +20,6 @@ from chidelta.coloring import (
     find_k_coloring,
     is_proper,
     kempe_chain,
-    kempe_swap,
 )
 from chidelta.coloring import Coloring
 from chidelta.generate import generate_connected_graphs
@@ -32,14 +31,18 @@ from chidelta.oracle import (
     oracle_witness,
 )
 from chidelta.sweep import theorem_sweep
-from chidelta.witness import (
-    find_witness,
-    forced_coloring_conflict,
-    sequence_three_coloring,
-    squared_cycle_hole,
-)
+from chidelta.witness import find_witness, squared_cycle_hole
 
-from conftest import c7_complement, grotzsch, k_n, petersen, random_graph
+from conftest import (
+    c7_complement,
+    forced_coloring_conflict,
+    grotzsch,
+    k_n,
+    kempe_swap,
+    petersen,
+    random_graph,
+    sequence_three_coloring,
+)
 
 EXPECTED_COUNTS = [1, 1, 2, 6, 21, 112, 853, 11117]
 CORPUS_N8 = Path(__file__).resolve().parents[1] / "bench" / "data" / "connected_n8.g6"
@@ -63,10 +66,10 @@ def audited_sweep():
     def probe_wrapper(h, x, y, z, phi):
         out = orig_probe(h, x, y, z, phi)
         audit["probe_calls"] += 1
-        if isinstance(out, witness_mod.Hole):
+        if isinstance(out, HighOddHoleWitness):
             audit["holes"] += 1
-            cycle = out.certificate.cycle
-            verdict = verify_certificate(h, out.certificate)
+            cycle = out.cycle
+            verdict = verify_certificate(h, out)
             if not verdict.ok or len(cycle) % 2 == 0 or len(cycle) < 5:
                 audit["violations"].append(("hole", cycle, verdict.reason))
         elif isinstance(out, witness_mod.Adjacent):
@@ -75,7 +78,7 @@ def audited_sweep():
             audit["inconsistent"] += 1
         return out
 
-    def split_wrapper(g, v, phi=None):
+    def split_wrapper(g, v, phi):
         out = orig_split(g, v, phi)
         if isinstance(out, witness_mod.Inconsistent):
             audit["split_inconsistent"] += 1

@@ -212,18 +212,6 @@ def test_sweep_small(capsys, tmp_path):
     assert [o["graphs"] for o in report["orders"]] == [1, 1, 2, 6, 21]
 
 
-def test_sweep_respects_jobs_env(capsys, monkeypatch):
-    monkeypatch.setenv("CHIDELTA_JOBS", "2")
-    code, out, _ = run(capsys, "sweep", "--max-n", "4")
-    assert code == EX_OK and "jobs=2" in out
-
-
-def test_sweep_rejects_non_integer_jobs_env(capsys, monkeypatch):
-    monkeypatch.setenv("CHIDELTA_JOBS", "abc")
-    code, _, err = run(capsys, "sweep", "--max-n", "3")
-    assert code == EX_USAGE and "CHIDELTA_JOBS" in err
-
-
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_sweep_rejects_nonpositive_jobs(capsys, jobs):
     code, out, err = run(capsys, "sweep", "--max-n", "3", "--jobs", jobs)
@@ -316,8 +304,19 @@ def test_gen_squared_cycle(capsys):
 
 
 def test_gen_rejects_tiny_cycle(capsys):
-    code, _, err = run(capsys, "gen", "--squared-cycle", "2")
-    assert code == EX_USAGE
+    code, out, err = run(capsys, "gen", "--squared-cycle", "2")
+    assert code == EX_USAGE and out == "" and "3..62" in err
+
+
+@pytest.mark.parametrize("n,code", [("62", EX_OK), ("63", EX_USAGE)], ids=["62", "63"])
+def test_gen_order_range_top(capsys, n, code):
+    # past the single-byte graph6 range is the same usage error as below 3
+    got, out, err = run(capsys, "gen", "--squared-cycle", n)
+    assert got == code
+    if code == EX_OK:
+        assert out.strip() == encode_graph6(cycle_power(62, 2))
+    else:
+        assert out == "" and "3..62" in err
 
 
 # --- usage ------------------------------------------------------------------

@@ -13,12 +13,16 @@ from chidelta.coloring import (
     is_k_colorable,
     is_proper,
     kempe_chain,
-    kempe_swap,
     shortest_path_in_chain,
 )
 from chidelta.graph import cycle_power, graph_from_edges, induced_subgraph, max_degree, min_degree
 
-from conftest import brute_chromatic, c7_complement, k_n, path_n, random_graph
+from conftest import brute_chromatic, c7_complement, k_n, kempe_swap, path_n, random_graph
+
+
+def _critical(g):
+    # the critical scan as the proof route runs it: chi from the caller
+    return extract_vertex_critical(g, chromatic_number(g), {})
 
 
 def test_is_proper_examples():
@@ -269,7 +273,7 @@ def test_shortest_path_lowest_id_tiebreak():
 
 def test_extract_critical_k4_plus_pendant():
     g = graph_from_edges(5, [(i, j) for i in range(4) for j in range(i + 1, 4)] + [(3, 4)])
-    assert extract_vertex_critical(g) == {0, 1, 2, 3}
+    assert _critical(g) == {0, 1, 2, 3}
 
 
 def test_extract_critical_single_scan(monkeypatch):
@@ -283,7 +287,7 @@ def test_extract_critical_single_scan(monkeypatch):
         return original(h)
 
     monkeypatch.setattr(coloring_mod, "chromatic_number", counting)
-    assert extract_vertex_critical(g) == {0, 1, 2, 3}
+    assert extract_vertex_critical(g, coloring_mod.chromatic_number(g), {}) == {0, 1, 2, 3}
     assert len(calls) <= g.n + 1
 
 
@@ -291,7 +295,8 @@ def test_extract_critical_single_scan(monkeypatch):
     "g", [c7_complement(), cycle_power(16, 2), graph_from_edges(3, []), path_n(4)]
 )
 def test_extract_critical_computes_chi_once(monkeypatch, g):
-    # the scan asks colourability questions, never a chromatic number per vertex
+    # the scan asks colourability questions, never a chromatic number per
+    # vertex: the one chromatic number is the caller's
     calls = []
     original = coloring_mod.chromatic_number
 
@@ -300,7 +305,7 @@ def test_extract_critical_computes_chi_once(monkeypatch, g):
         return original(h)
 
     monkeypatch.setattr(coloring_mod, "chromatic_number", counting)
-    extract_vertex_critical(g)
+    extract_vertex_critical(g, coloring_mod.chromatic_number(g), {})
     assert calls == [g.n]
 
 
@@ -319,7 +324,7 @@ def test_extract_critical_skips_search_while_a_clique_survives(monkeypatch):
         return original(h, k, on)
 
     monkeypatch.setattr(coloring_mod, "find_k_coloring", inside_clique_only)
-    assert extract_vertex_critical(g) == clique
+    assert _critical(g) == clique
 
 
 def _pendant_c7_complement(m):
@@ -347,7 +352,7 @@ def test_searches_see_only_cores(monkeypatch):
 
     monkeypatch.setattr(coloring_mod, "find_k_coloring", core_only)
     assert chromatic_number(g) == 4
-    assert extract_vertex_critical(g) == set(range(m, m + 7))
+    assert _critical(g) == set(range(m, m + 7))
     assert calls
 
 
@@ -421,7 +426,7 @@ def test_extract_critical_matches_restart_scan():
     rng = random.Random(2024)
     for _ in range(80):
         g = random_graph(rng, rng.randint(1, 9), rng.choice([0.3, 0.5, 0.7]))
-        assert extract_vertex_critical(g) == _restart_scan_critical(g)
+        assert _critical(g) == _restart_scan_critical(g)
 
 
 def _greedy_color_count_reference(g):
@@ -462,12 +467,12 @@ def test_chromatic_number_matches_reference():
 
 
 def test_extract_critical_c5():
-    assert extract_vertex_critical(cycle_power(5, 1)) == {0, 1, 2, 3, 4}
+    assert _critical(cycle_power(5, 1)) == {0, 1, 2, 3, 4}
 
 
 def test_extract_critical_c7_complement():
     g = c7_complement()
-    assert extract_vertex_critical(g) == set(range(7))
+    assert _critical(g) == set(range(7))
     for v in range(7):
         sub, _ = induced_subgraph(g, set(range(7)) - {v})
         assert brute_chromatic(sub) == 3
@@ -478,7 +483,7 @@ def test_extract_critical_invariants_random():
     for _ in range(20):
         g = random_graph(rng, rng.randint(2, 8), 0.5)
         chi = chromatic_number(g)
-        keep = extract_vertex_critical(g)
+        keep = _critical(g)
         sub, _ = induced_subgraph(g, keep)
         assert chromatic_number(sub) == chi
         for v in range(sub.n):

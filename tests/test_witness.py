@@ -32,24 +32,62 @@ from chidelta.oracle import oracle_witness
 from chidelta.witness import (
     Adjacent,
     ContractError,
-    Hole,
     Inconsistent,
     NeighborhoodSplit,
     PathQuad,
     SquaredCycleLabeling,
     degree_deficient_probe,
     find_witness,
-    forced_coloring_conflict,
     kempe_adjacency_probe,
     neighborhood_split,
     path_quad,
-    sequence_three_coloring,
     split_attachment_check,
     squared_cycle_hole,
     trace_squared_cycle,
 )
 
-from conftest import c7_complement, k_n, path_n, petersen
+from conftest import (
+    c7_complement,
+    forced_coloring_conflict,
+    k_n,
+    path_n,
+    petersen,
+    sequence_three_coloring,
+)
+
+# Every connected, vertex-critical circulant on 7..18 vertices with
+# chi = delta >= 5 and no K_delta (two isomorphism classes).
+HIGH_DEGREE_CIRCULANTS = [
+    (11, (1, 2, 3)),
+    (11, (1, 3, 4)),
+    (11, (1, 4, 5)),
+    (11, (2, 3, 5)),
+    (11, (2, 4, 5)),
+    (15, (1, 4, 5, 6)),
+    (15, (2, 3, 5, 7)),
+]
+
+
+def _relabelled_circulant(n, jumps, copy):
+    perm = list(range(n))
+    random.Random(f"circulant:{n}:{jumps}:{copy}").shuffle(perm)
+    return graph_from_edges(n, [(perm[i], perm[(i + s) % n]) for i in range(n) for s in jumps])
+
+
+def _scan(g):
+    # the critical scan's colorings of g - v, keyed by v, as find_witness
+    # hands them on; the claimed chromatic number is the maximum degree
+    colorings = {}
+    extract_vertex_critical(g, max_degree(g), colorings)
+    return colorings
+
+
+def _split(g, v):
+    return neighborhood_split(g, v, _scan(g)[v])
+
+
+def _trace(g):
+    return trace_squared_cycle(g, _scan(g))
 
 
 # --- adjacency probe -------------------------------------------------------------
@@ -65,9 +103,8 @@ def test_probe_closes_hole_on_c5():
     c5 = cycle_power(5, 1)
     phi = Coloring(2, (0, 1, 2, 1, 2))
     out = kempe_adjacency_probe(c5, 0, 1, 4, phi)
-    assert isinstance(out, Hole)
-    assert out.certificate.cycle == (1, 2, 3, 4, 0)
-    assert verify_certificate(c5, out.certificate).ok
+    assert out == HighOddHoleWitness((1, 2, 3, 4, 0))
+    assert verify_certificate(c5, out).ok
 
 
 def test_probe_flags_extendable_coloring():
@@ -136,7 +173,7 @@ def exhaustive_splits(g, v):
 )
 def test_neighborhood_split_on_squared_cycles(n, v, want_a, want_b):
     g = cycle_power(n, 2)
-    out = neighborhood_split(g, v)
+    out = _split(g, v)
     assert isinstance(out, NeighborhoodSplit)
     assert out.a == want_a and out.b == want_b
     # the expected split is the unique structurally valid one
@@ -145,7 +182,7 @@ def test_neighborhood_split_on_squared_cycles(n, v, want_a, want_b):
 
 def test_neighborhood_split_invariants():
     g = c7_complement()
-    out = neighborhood_split(g, 0)
+    out = _split(g, 0)
     assert isinstance(out, NeighborhoodSplit)
     a1, a2 = out.a
     assert not g.has_edge(a1, a2)
@@ -156,33 +193,42 @@ def test_neighborhood_split_invariants():
 
 def test_neighborhood_split_inconsistent_on_three_chromatic():
     # 3-chromatic squared cycle: the coloring of g - v misses a colour around v
-    out = neighborhood_split(cycle_power(9, 2), 0)
+    out = _split(cycle_power(9, 2), 0)
     assert isinstance(out, Inconsistent)
-
-
-def test_neighborhood_split_inconsistent_when_not_critical():
-    # the squared 8-cycle minus a vertex has no 3-coloring to probe
-    out = neighborhood_split(cycle_power(8, 2), 0)
-    assert isinstance(out, Inconsistent) and "minus 0" in out.reason
 
 
 def test_neighborhood_split_requires_regularity():
     with pytest.raises(ContractError):
-        neighborhood_split(graph_from_edges(6, [(0, i) for i in range(1, 6)] + [(1, 2), (2, 3), (3, 4), (4, 5), (5, 1)]), 0)
+        neighborhood_split(graph_from_edges(6, [(0, i) for i in range(1, 6)] + [(1, 2), (2, 3), (3, 4), (4, 5), (5, 1)]), 0,
+                           Coloring(3, (0, 1, 2, 1, 2, 3)))
 
 
-@pytest.mark.parametrize("n", [13, 16])
-def test_neighborhood_split_reuses_the_critical_scan_coloring(n):
-    # the scan keeps every vertex of a critical squared cycle, and the
-    # coloring that kept v is the one the split would find for g - v itself
-    g = cycle_power(n, 2)
+# The regular split sweep's inputs: every 4-critical C_n^2 the sweep reaches
+# (n = 1 mod 3, 7 <= n <= 61) and the Delta >= 5 circulants, relabelled.
+REGULAR_SWEEP_INPUTS = [(str(n), cycle_power(n, 2)) for n in range(7, 62, 3)] + [
+    (f"C{n}{jumps}-{copy}".replace(" ", ""), _relabelled_circulant(n, jumps, copy))
+    for n, jumps in HIGH_DEGREE_CIRCULANTS
+    for copy in (1, 2)
+]
+
+
+@pytest.mark.parametrize(
+    "g", [g for _, g in REGULAR_SWEEP_INPUTS], ids=[i for i, _ in REGULAR_SWEEP_INPUTS]
+)
+def test_neighborhood_split_reuses_the_critical_scan_coloring(g):
+    # what the split sweep relies on: the scan keeps every vertex of a
+    # regular critical graph and stores the coloring of g - v for every v,
+    # the one `find_k_coloring` gives g - v itself
+    delta = max_degree(g)
+    assert min_degree(g) == delta
     colorings = {}
-    assert extract_vertex_critical(g, 4, colorings) == set(range(n))
-    assert sorted(colorings) == list(range(n))
-    for v in range(n):
-        others = [u for u in range(n) if u != v]
-        assert colorings[v] == find_k_coloring(g, 3, others)
-        assert neighborhood_split(g, v, colorings[v]) == neighborhood_split(g, v)
+    assert extract_vertex_critical(g, delta, colorings) == set(range(g.n))
+    assert sorted(colorings) == list(range(g.n))
+    for v in range(g.n):
+        others = [u for u in range(g.n) if u != v]
+        assert colorings[v].k == delta - 1 and list(colorings[v].colored_vertices()) == others
+        assert is_proper(g, colorings[v])
+        assert colorings[v] == find_k_coloring(g, delta - 1, others)
 
 
 def test_neighborhood_split_rejects_a_coloring_of_another_vertex():
@@ -200,11 +246,11 @@ def test_neighborhood_split_rejects_a_coloring_of_another_vertex():
 
 def test_split_attachment_counts():
     g10 = cycle_power(10, 2)
-    s10 = neighborhood_split(g10, 0)
+    s10 = _split(g10, 0)
     assert split_attachment_check(g10, s10, 2) == 1
     assert split_attachment_check(g10, s10, 8) == 1
     g7 = cycle_power(7, 2)
-    s7 = neighborhood_split(g7, 0)
+    s7 = _split(g7, 0)
     assert split_attachment_check(g7, s7, 2) == 1
 
 
@@ -220,7 +266,7 @@ def test_split_attachment_full_closes_clique():
 
 def test_split_attachment_rejects_foreign_vertex():
     g10 = cycle_power(10, 2)
-    s10 = neighborhood_split(g10, 0)
+    s10 = _split(g10, 0)
     with pytest.raises(ContractError):
         split_attachment_check(g10, s10, 1)
 
@@ -231,7 +277,7 @@ def test_split_attachment_rejects_foreign_vertex():
 )
 def test_path_quads_on_squared_cycles(n, quad):
     g = cycle_power(n, 2)
-    split = neighborhood_split(g, 0)
+    split = _split(g, 0)
     out = path_quad(g, split)
     assert out == PathQuad(*quad)
     a1, b1, b2, a2 = quad
@@ -246,8 +292,14 @@ def test_path_quads_on_squared_cycles(n, quad):
 def test_trace_labels_squared_cycles(n):
     # only the 4-critical squares, n = 1 mod 3, are labelled
     g = cycle_power(n, 2)
-    out = trace_squared_cycle(g)
-    if n % 3 != 1:
+    if n % 3 == 2:
+        # not vertex-critical: the scan deletes a vertex, so some g - v has
+        # no coloring to probe
+        with pytest.raises(ContractError, match="no coloring of g minus"):
+            _trace(g)
+        return
+    out = _trace(g)
+    if n % 3 == 0:
         assert isinstance(out, Inconsistent)
         return
     assert isinstance(out, SquaredCycleLabeling) and out.n == n
@@ -266,7 +318,7 @@ def test_find_witness_splits_each_vertex_once(monkeypatch, n):
     calls = []
     original = witness_mod.neighborhood_split
 
-    def counting(g, v, phi=None):
+    def counting(g, v, phi):
         calls.append(v)
         return original(g, v, phi)
 
@@ -274,12 +326,6 @@ def test_find_witness_splits_each_vertex_once(monkeypatch, n):
     g = cycle_power(n, 2)
     assert isinstance(find_witness(g), HighOddHoleWitness)
     assert calls == list(range(n))
-
-
-def _relabelled_circulant(n, jumps, copy):
-    perm = list(range(n))
-    random.Random(f"circulant:{n}:{jumps}:{copy}").shuffle(perm)
-    return graph_from_edges(n, [(perm[i], perm[(i + s) % n]) for i in range(n) for s in jumps])
 
 
 @pytest.mark.parametrize(
@@ -366,12 +412,12 @@ def _relabelled_square(n, copy):
 )
 def test_trace_and_witness_pinned_on_relabelled_squares(n, copy, position, cert):
     g = _relabelled_square(n, copy)
-    assert trace_squared_cycle(g) == SquaredCycleLabeling(n, position)
+    assert _trace(g) == SquaredCycleLabeling(n, position)
     assert find_witness(g) == cert
 
 
 def test_trace_on_c7_complement():
-    out = trace_squared_cycle(c7_complement())
+    out = _trace(c7_complement())
     assert isinstance(out, SquaredCycleLabeling) and out.n == 7
 
 
@@ -381,12 +427,12 @@ def test_trace_fails_cleanly_off_family():
         (u, u ^ (1 << b)) for u in range(16) for b in range(4) if u < u ^ (1 << b)
     ]
     q4 = graph_from_edges(16, edges)
-    out = trace_squared_cycle(q4)
+    out = _trace(q4)
     assert isinstance(out, (Inconsistent, HighOddHoleWitness, CliqueWitness))
     if isinstance(out, (HighOddHoleWitness, CliqueWitness)):
         assert verify_certificate(q4, out).ok
     with pytest.raises(ContractError):
-        trace_squared_cycle(petersen())  # 3-regular
+        _trace(petersen())  # 3-regular
 
 
 # --- explicit hole construction ----------------------------------------------------------
@@ -434,10 +480,17 @@ def test_squared_cycle_minus_a_vertex_three_colorable_iff_one_mod_three(n):
 
 @pytest.mark.parametrize("n", [n for n in range(8, 62) if n % 3 != 1])
 def test_trace_inconsistent_on_squares_off_the_endgame(n):
-    assert isinstance(trace_squared_cycle(cycle_power(n, 2)), Inconsistent)
+    g = cycle_power(n, 2)
+    if n % 3 == 0:
+        assert isinstance(_trace(g), Inconsistent)
+    else:
+        # 2 mod 3: not vertex-critical, so the scan stores no coloring of g - v
+        # for some v, and the trace refuses to probe without one
+        with pytest.raises(ContractError, match="no coloring of g minus"):
+            _trace(g)
 
 
-# --- residue-class colourings ---------------------------------------------------------------
+# --- residue-class colourings (test helpers in conftest) -------------------------------------
 
 
 def test_sequence_three_coloring_examples():
@@ -519,22 +572,10 @@ def test_find_witness_brooks_branch():
     assert w == CliqueWitness(frozenset({0, 1, 2, 3}))
 
 
-# Every connected, vertex-critical circulant on 7..18 vertices with
-# chi = delta >= 5 and no K_delta (two isomorphism classes).  The regular
-# split sweep must certify each one without the oracle fallback.
+# The regular split sweep must certify each high-degree circulant without
+# the oracle fallback.
 @pytest.mark.parametrize("copy", [1, 2])
-@pytest.mark.parametrize(
-    "n,jumps",
-    [
-        (11, (1, 2, 3)),
-        (11, (1, 3, 4)),
-        (11, (1, 4, 5)),
-        (11, (2, 3, 5)),
-        (11, (2, 4, 5)),
-        (15, (1, 4, 5, 6)),
-        (15, (2, 3, 5, 7)),
-    ],
-)
+@pytest.mark.parametrize("n,jumps", HIGH_DEGREE_CIRCULANTS)
 def test_find_witness_high_degree_circulants_skip_oracle(monkeypatch, n, jumps, copy):
     g = _relabelled_circulant(n, jumps, copy)
     assert min_degree(g) == max_degree(g) >= 5

@@ -297,10 +297,9 @@ def shortest_path_in_chain(
     return None
 
 
-def extract_vertex_critical(
-    g: Graph, chi: int, colorings: dict[int, Coloring]
-) -> frozenset[int]:
-    """Vertex set of a vertex-critical subgraph with the same chromatic number.
+def extract_vertex_critical(g: Graph, chi: int) -> tuple[frozenset[int], dict[int, Coloring]]:
+    """Vertex set of a vertex-critical subgraph with the same chromatic number,
+    and the colorings that kept its vertices.
 
     Takes the chromatic number chi of g from the caller, which has it
     already; then one scan in ascending vertex order deletes every vertex
@@ -313,16 +312,17 @@ def extract_vertex_critical(
 
     A kept vertex v is kept because the other remaining vertices have a
     (chi - 1)-coloring.  When peeling removed none of them, that coloring
-    covers the whole trial set, and it is stored in `colorings` under v.
+    covers the whole trial set, and it is returned in the dict under v.
     When no vertex before v was deleted, it is the coloring of g - v that
     `find_k_coloring(g, chi - 1, others)` returns.  If the scan deletes
     nothing from a chi-regular g, no trial set peels either (each of its
     vertices keeps at least chi - 1 neighbours), so the coloring of g - v is
-    stored for every v: the regular branch of the proof route relies on it.
+    returned for every v: the regular branch of the proof route relies on it.
     """
     if g.n == 0:
         raise ValueError("empty graph")
     keep = list(range(g.n))
+    colorings: dict[int, Coloring] = {}
     for v in range(g.n):
         trial = [u for u in keep if u != v]
         if not trial:
@@ -332,4 +332,4 @@ def extract_vertex_critical(
             keep = trial
         elif len(core) == len(trial):
             colorings[v] = phi
-    return frozenset(keep)
+    return frozenset(keep), colorings

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence
 
 from .certificate import (
     Certificate, CliqueWitness, ExceptionalC7Complement, HighOddHoleWitness, verify_certificate
@@ -35,25 +35,6 @@ log = logging.getLogger(__name__)
 
 class ContractError(ValueError):
     """An input violated a precondition of the certificate search."""
-
-
-@dataclass(frozen=True)
-class Adjacent:
-    """Probe outcome: the two probed vertices are adjacent."""
-
-    u: int
-    w: int
-
-
-@dataclass(frozen=True)
-class Inconsistent:
-    """Probe outcome: the instance contradicts its claimed chromatic number."""
-
-    reason: str
-
-
-# A closed hole is returned as its certificate, unverified, as built.
-ProbeOutcome = Union[Adjacent, HighOddHoleWitness, Inconsistent]
 
 
 @dataclass(frozen=True)
@@ -82,32 +63,29 @@ class PathQuad:
 
 @dataclass(frozen=True)
 class SquaredCycleLabeling:
-    """Bijection vertex -> cyclic position with adjacency iff distance <= 2."""
+    """Bijection cyclic position -> vertex with adjacency iff distance <= 2."""
 
     n: int
-    position: tuple[int, ...]
-
-    def vertex_at(self) -> tuple[int, ...]:
-        inverse = [0] * self.n
-        for v, p in enumerate(self.position):
-            inverse[p] = v
-        return tuple(inverse)
+    vertex_at: tuple[int, ...]
 
 
 def kempe_adjacency_probe(
     h: Graph, x: int, y: int, z: int, phi: Coloring
-) -> ProbeOutcome:
+) -> HighOddHoleWitness | None:
     """Probe two uniquely-coloured neighbours of the uncoloured vertex x.
 
-    If y ~ z the pair is reported adjacent.  Otherwise walk the maximal
-    two-colour component of (phi(y), phi(z)) starting at y: if z is missing,
-    swapping the component would free phi(y) at x and extend the coloring, so
-    the claimed chromatic number was wrong (Inconsistent).  If z is present,
-    the shortest alternating path from y to z closes through x into a cycle
-    that is odd (the path ends in different colours, so it has evenly many
-    vertices) and chordless (a chord would shortcut the shortest path, and x
-    has no other neighbour coloured phi(y) or phi(z)); that hole is returned.
+    If y ~ z the pair is adjacent and None is returned.  Otherwise walk the
+    maximal two-colour component of (phi(y), phi(z)) starting at y: if z is
+    missing, swapping the component would free phi(y) at x and extend the
+    coloring, so the claimed chromatic number was wrong (ContractError).  If
+    z is present, the shortest alternating path from y to z closes through x
+    into a cycle that is odd (the path ends in different colours, so it has
+    evenly many vertices) and chordless (a chord would shortcut the shortest
+    path, and x has no other neighbour coloured phi(y) or phi(z)); that hole
+    is returned, unverified, as built.
     """
+    if len(phi.colors) != h.n:
+        raise ContractError(f"coloring has {len(phi.colors)} entries, graph has {h.n} vertices")
     uncolored = [v for v in range(h.n) if not phi.is_colored(v)]
     if uncolored != [x]:
         raise ContractError(f"expected exactly vertex {x} uncoloured, got {uncolored}")
@@ -122,10 +100,10 @@ def kempe_adjacency_probe(
                 f"colour {phi.color_of(u)} reappears on neighbour {u} of {x}"
             )
     if h.has_edge(y, z):
-        return Adjacent(y, z)
+        return None
     chain = kempe_chain(h, phi, y, cy, cz)
     if z not in chain.members:
-        return Inconsistent(
+        raise ContractError(
             f"swap on the ({cy},{cz})-component of {y} would extend the coloring to {x}"
         )
     path = shortest_path_in_chain(h, chain, y, {z})
@@ -134,14 +112,14 @@ def kempe_adjacency_probe(
 
 def _probe_pairs(
     h: Graph, x: int, verts: Sequence[int], phi: Coloring
-) -> HighOddHoleWitness | Inconsistent | None:
-    # Probe every pair of `verts` around x in order; the first hole or
-    # Inconsistent ends it, and None means every pair is adjacent.
+) -> HighOddHoleWitness | None:
+    # Probe every pair of `verts` around x in order; the first hole ends it,
+    # and None means every pair is adjacent.
     for i, y in enumerate(verts):
         for z in verts[i + 1:]:
-            outcome = kempe_adjacency_probe(h, x, y, z, phi)
-            if not isinstance(outcome, Adjacent):
-                return outcome
+            hole = kempe_adjacency_probe(h, x, y, z, phi)
+            if hole is not None:
+                return hole
     return None
 
 
@@ -168,15 +146,12 @@ def degree_deficient_probe(h: Graph, v: int) -> Certificate:
         raise ContractError(
             f"coloring extends to {v}; the claimed chromatic number is too high"
         )
-    outcome = _probe_pairs(h, v, nbrs, phi)
-    if isinstance(outcome, Inconsistent):
-        raise ContractError(f"probe around {v}: {outcome.reason}")
-    return outcome or CliqueWitness(frozenset(nbrs) | {v})
+    return _probe_pairs(h, v, nbrs, phi) or CliqueWitness(frozenset(nbrs) | {v})
 
 
 def neighborhood_split(
     g: Graph, v: int, phi: Coloring
-) -> NeighborhoodSplit | Certificate | Inconsistent:
+) -> NeighborhoodSplit | HighOddHoleWitness:
     """Split N(v) of a regular graph into the duplicated-colour pair and a clique.
 
     `phi` is a (max degree - 1)-coloring of exactly g - v, the one the
@@ -187,8 +162,8 @@ def neighborhood_split(
     certified adjacent by the Kempe probe, and each B-vertex is attached to
     A via its two-colour component towards A: a single-edge path certifies
     attachment, a longer path closes an odd hole through v, and a missing
-    path means the coloring could be rearranged to extend, which is
-    Inconsistent.
+    path means the coloring could be rearranged to extend, which raises
+    ContractError, as does a colour missing around v.
     """
     delta = max_degree(g)
     if delta < 4:
@@ -203,23 +178,19 @@ def neighborhood_split(
         by_color.setdefault(phi.color_of(u), []).append(u)
     if len(by_color) < delta - 1:
         missing = sorted(set(range(1, delta)) - set(by_color))
-        return Inconsistent(
-            f"colour {missing[0]} is unused around {v}; the coloring extends"
-        )
+        raise ContractError(f"colour {missing[0]} is unused around {v}; the coloring extends")
     duplicated = [c for c, verts in by_color.items() if len(verts) == 2]
     a_pair = tuple(sorted(by_color[duplicated[0]]))
     dup_color = duplicated[0]
     b_set = sorted(u for u in g.neighbors(v) if u not in a_pair)
-    outcome = _probe_pairs(g, v, b_set, phi)
-    if outcome is not None:
-        return outcome
+    hole = _probe_pairs(g, v, b_set, phi)
+    if hole is not None:
+        return hole
     for b in sorted(b_set, key=phi.color_of):
         chain = kempe_chain(g, phi, b, dup_color, phi.color_of(b))
         path = shortest_path_in_chain(g, chain, b, set(a_pair))
         if path is None:
-            return Inconsistent(
-                f"component of {b} misses both of {a_pair}; the coloring extends"
-            )
+            raise ContractError(f"component of {b} misses both of {a_pair}; the coloring extends")
         if len(path) > 2:
             return HighOddHoleWitness(tuple(path) + (v,))
     return NeighborhoodSplit(v, (a_pair[0], a_pair[1]), frozenset(b_set))
@@ -227,13 +198,13 @@ def neighborhood_split(
 
 def split_attachment_check(
     g: Graph, split: NeighborhoodSplit, a: int
-) -> int | Certificate | Inconsistent:
-    """Count how many B-vertices the A-vertex `a` is attached to.
+) -> CliqueWitness | None:
+    """The clique the A-vertex `a` closes by seeing all of B, or None.
 
     Full attachment closes a clique of size max_degree on B + {a, center},
-    returned unverified; the only other value a valid instance allows is
-    |B| - 1, returned as the count.  Anything else means an earlier probe
-    should have fired.
+    returned unverified; the only other count a valid instance allows is
+    |B| - 1, which gives None.  Any other count means an earlier probe
+    should have fired, and raises ContractError.
     """
     if a not in split.a:
         raise ContractError(f"vertex {a} is not in the split's A pair")
@@ -241,11 +212,11 @@ def split_attachment_check(
     delta = max_degree(g)
     if count == delta - 2:
         return CliqueWitness(split.b | {a, split.center})
-    if count == delta - 3:
-        return count
-    return Inconsistent(
-        f"vertex {a} has {count} neighbours in B, expected {delta - 3} or {delta - 2}"
-    )
+    if count != delta - 3:
+        raise ContractError(
+            f"vertex {a} has {count} neighbours in B, expected {delta - 3} or {delta - 2}"
+        )
+    return None
 
 
 def _mask(verts) -> int:
@@ -255,23 +226,24 @@ def _mask(verts) -> int:
     return m
 
 
-def path_quad(g: Graph, split: NeighborhoodSplit) -> PathQuad | Inconsistent:
+def path_quad(g: Graph, split: NeighborhoodSplit) -> PathQuad:
     """The induced 4-path a1-b1-b2-a2 among the centre's neighbours.
 
     b2 is the unique B-vertex missed by a1 and b1 the unique one missed by
     a2; together with A's non-adjacency and B's cliqueness the four vertices
-    induce exactly a path.  Every condition is re-checked.
+    induce exactly a path.  Every condition is re-checked, and a failed one
+    raises ContractError.
     """
     a1, a2 = split.a
     missed1 = sorted(split.b - set(g.neighbors(a1)))
     missed2 = sorted(split.b - set(g.neighbors(a2)))
     if len(missed1) != 1 or len(missed2) != 1:
-        return Inconsistent(
+        raise ContractError(
             f"A-vertices miss {len(missed1)} and {len(missed2)} B-vertices, expected 1 and 1"
         )
     b2, b1 = missed1[0], missed2[0]
     if b1 == b2:
-        return Inconsistent(f"vertex {b1} is attached to neither A-vertex")
+        raise ContractError(f"vertex {b1} is attached to neither A-vertex")
     quad = (a1, b1, b2, a2)
     want = {(a1, b1), (b1, b2), (b2, a2)}
     for i in range(4):
@@ -280,18 +252,16 @@ def path_quad(g: Graph, split: NeighborhoodSplit) -> PathQuad | Inconsistent:
             present = g.has_edge(u, w)
             expected = (u, w) in want or (w, u) in want
             if present != expected:
-                return Inconsistent(
-                    f"induced structure on {quad} is not the expected path"
-                )
+                raise ContractError(f"induced structure on {quad} is not the expected path")
     return PathQuad(a1, b1, b2, a2)
 
 
 def _quads(
     g: Graph, colorings: dict[int, Coloring]
-) -> dict[int, PathQuad] | Certificate | Inconsistent:
+) -> dict[int, PathQuad] | Certificate:
     # The path quad at every vertex, in vertex order: split, both attachment
-    # checks, then the quad.  The first certificate or Inconsistent ends it.
-    # `colorings` holds the critical scan's coloring of g - v for every v.
+    # checks, then the quad.  The first certificate ends it.  `colorings`
+    # holds the critical scan's coloring of g - v for every v.
     quads: dict[int, PathQuad] = {}
     for v in range(g.n):
         if v not in colorings:
@@ -300,31 +270,30 @@ def _quads(
         if not isinstance(split, NeighborhoodSplit):
             return split
         for a in split.a:
-            res = split_attachment_check(g, split, a)
-            if not isinstance(res, int):
-                return res
-        quad = path_quad(g, split)
-        if isinstance(quad, Inconsistent):
-            return quad
-        quads[v] = quad
+            clique = split_attachment_check(g, split, a)
+            if clique is not None:
+                return clique
+        quads[v] = path_quad(g, split)
     return quads
 
 
 def trace_squared_cycle(
     g: Graph, colorings: dict[int, Coloring]
-) -> SquaredCycleLabeling | Certificate | Inconsistent:
+) -> SquaredCycleLabeling | Certificate:
     """Label a 4-regular graph as the square of a cycle, or fail trying.
 
     First computes the path quad at every vertex, in vertex order; the first
-    certificate or inconsistency met on the way is returned.  Then walks one
-    vertex per step from vertex 0 to the B-vertex b1 of its quad: each next
-    vertex is the B-vertex of the current vertex's quad that is not the
-    previous one.  The walk must visit every vertex exactly once, and every
-    vertex's neighbourhood must then be that of its walk position in the
-    square of the n-cycle.  The result is the only such labeling with vertex 0
-    at position 0 and b1 at position 1.  `colorings` must hold, for every v,
-    the 3-coloring of g - v that `extract_vertex_critical` stored; a missing
-    one is a ContractError naming v.
+    certificate met on the way is returned, and the first contradiction
+    raises ContractError.  Then walks one vertex per step from vertex 0 to
+    the B-vertex b1 of its quad: each next vertex is the B-vertex of the
+    current vertex's quad that is not the previous one.  The walk must visit
+    every vertex exactly once, and every vertex's neighbourhood must then be
+    that of its walk position in the square of the n-cycle; a failed check
+    raises ContractError.  The result is the walk itself, the only such
+    labeling with vertex 0 at position 0 and b1 at position 1.  `colorings`
+    must hold, for every v, the 3-coloring of g - v that
+    `extract_vertex_critical` returned; a missing one is a ContractError
+    naming v.
     """
     if g.n == 0 or not is_connected(g):
         raise ContractError("graph must be connected and nonempty")
@@ -339,15 +308,12 @@ def trace_squared_cycle(
         quad = quads[walk[-1]]
         walk.append(quad.b2 if quad.b1 == walk[-2] else quad.b1)
     if len(set(walk)) != n:
-        return Inconsistent("walk along the quads revisits a vertex before closing")
-    position = [0] * n
-    for p, v in enumerate(walk):
-        position[v] = p
+        raise ContractError("walk along the quads revisits a vertex before closing")
     square = cycle_power(n, 2)
-    for u, p in enumerate(position):
+    for p, u in enumerate(walk):
         if g.adjacency_mask(u) != _mask(walk[w] for w in square.neighbors(p)):
-            return Inconsistent(f"neighbours of {u} disagree with its position {p}")
-    return SquaredCycleLabeling(n, tuple(position))
+            raise ContractError(f"neighbours of {u} disagree with its position {p}")
+    return SquaredCycleLabeling(n, tuple(walk))
 
 
 def squared_cycle_hole(n: int) -> tuple[int, ...]:
@@ -457,8 +423,8 @@ def _derive_witness(g: Graph) -> Certificate:
             raise ContractError("triangle-free 3-chromatic graph has no odd cycle")
         return HighOddHoleWitness(cycle)
 
-    colorings: dict[int, Coloring] = {}
-    keep = sorted(extract_vertex_critical(g, chi, colorings))
+    kept, colorings = extract_vertex_critical(g, chi)
+    keep = sorted(kept)
     sub, _ = induced_subgraph(g, keep)
     sub_delta = max_degree(sub)
     if sub_delta == delta - 1:
@@ -481,8 +447,6 @@ def _derive_witness(g: Graph) -> Certificate:
         )
     if delta >= 5:
         quads = _quads(g, colorings)
-        if isinstance(quads, Inconsistent):
-            raise ContractError(f"quad sweep: {quads.reason}")
         if not isinstance(quads, dict):
             return quads
         log.warning(
@@ -495,8 +459,6 @@ def _derive_witness(g: Graph) -> Certificate:
             raise ContractError("oracle found no certificate after a silent sweep")
         return cert
     traced = trace_squared_cycle(g, colorings)
-    if isinstance(traced, Inconsistent):
-        raise ContractError(f"squared-cycle trace: {traced.reason}")
     if not isinstance(traced, SquaredCycleLabeling):
         return traced
     m = traced.n
@@ -507,6 +469,4 @@ def _derive_witness(g: Graph) -> Certificate:
         return ExceptionalC7Complement(positions)
     if m % 3 != 1:
         raise ContractError(f"squared cycle of length {m} is not 4-critical")
-    vertex_at = traced.vertex_at()
-    cycle = tuple(vertex_at[p] for p in squared_cycle_hole(m))
-    return HighOddHoleWitness(cycle)
+    return HighOddHoleWitness(tuple(traced.vertex_at[p] for p in squared_cycle_hole(m)))

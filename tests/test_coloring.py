@@ -22,7 +22,7 @@ from conftest import brute_chromatic, c7_complement, k_n, kempe_swap, path_n, ra
 
 def _critical(g):
     # the critical scan as the proof route runs it: chi from the caller
-    return extract_vertex_critical(g, chromatic_number(g), {})
+    return extract_vertex_critical(g, chromatic_number(g))[0]
 
 
 def test_is_proper_examples():
@@ -287,7 +287,7 @@ def test_extract_critical_single_scan(monkeypatch):
         return original(h)
 
     monkeypatch.setattr(coloring_mod, "chromatic_number", counting)
-    assert extract_vertex_critical(g, coloring_mod.chromatic_number(g), {}) == {0, 1, 2, 3}
+    assert extract_vertex_critical(g, coloring_mod.chromatic_number(g))[0] == {0, 1, 2, 3}
     assert len(calls) <= g.n + 1
 
 
@@ -305,7 +305,7 @@ def test_extract_critical_computes_chi_once(monkeypatch, g):
         return original(h)
 
     monkeypatch.setattr(coloring_mod, "chromatic_number", counting)
-    extract_vertex_critical(g, coloring_mod.chromatic_number(g), {})
+    extract_vertex_critical(g, coloring_mod.chromatic_number(g))
     assert calls == [g.n]
 
 

@@ -30,9 +30,7 @@ from chidelta.graph import (
 )
 from chidelta.oracle import oracle_witness
 from chidelta.witness import (
-    Adjacent,
     ContractError,
-    Inconsistent,
     NeighborhoodSplit,
     PathQuad,
     SquaredCycleLabeling,
@@ -77,9 +75,7 @@ def _relabelled_circulant(n, jumps, copy):
 def _scan(g):
     # the critical scan's colorings of g - v, keyed by v, as find_witness
     # hands them on; the claimed chromatic number is the maximum degree
-    colorings = {}
-    extract_vertex_critical(g, max_degree(g), colorings)
-    return colorings
+    return extract_vertex_critical(g, max_degree(g))[1]
 
 
 def _split(g, v):
@@ -96,7 +92,7 @@ def _trace(g):
 def test_probe_adjacent_in_k4():
     g = k_n(4)
     phi = Coloring(3, (1, 2, 3, 0))
-    assert kempe_adjacency_probe(g, 3, 0, 1, phi) == Adjacent(0, 1)
+    assert kempe_adjacency_probe(g, 3, 0, 1, phi) is None
 
 
 def test_probe_closes_hole_on_c5():
@@ -110,8 +106,18 @@ def test_probe_closes_hole_on_c5():
 def test_probe_flags_extendable_coloring():
     c5 = cycle_power(5, 1)
     phi = Coloring(3, (0, 1, 2, 1, 3))
-    out = kempe_adjacency_probe(c5, 0, 1, 4, phi)
-    assert isinstance(out, Inconsistent)
+    with pytest.raises(ContractError, match=r"swap on the \(1,3\)-component of 1 would extend the coloring to 0"):
+        kempe_adjacency_probe(c5, 0, 1, 4, phi)
+
+
+def test_probe_rejects_a_short_coloring():
+    with pytest.raises(ContractError, match="coloring has 4 entries, graph has 5 vertices"):
+        kempe_adjacency_probe(cycle_power(5, 1), 0, 1, 4, Coloring(2, (0, 1, 2, 1)))
+
+
+def test_probe_rejects_a_long_coloring():
+    with pytest.raises(ContractError, match="coloring has 6 entries, graph has 5 vertices"):
+        kempe_adjacency_probe(cycle_power(5, 1), 0, 1, 4, Coloring(2, (0, 1, 2, 1, 2, 1)))
 
 
 def test_probe_contract_errors():
@@ -193,8 +199,17 @@ def test_neighborhood_split_invariants():
 
 def test_neighborhood_split_inconsistent_on_three_chromatic():
     # 3-chromatic squared cycle: the coloring of g - v misses a colour around v
-    out = _split(cycle_power(9, 2), 0)
-    assert isinstance(out, Inconsistent)
+    with pytest.raises(ContractError, match="colour 3 is unused around 0; the coloring extends"):
+        _split(cycle_power(9, 2), 0)
+
+
+def test_neighborhood_split_raises_when_a_component_misses_the_pair():
+    # a fabricated coloring of C10^2 - 0: the pair A = {1, 2} shares colour 1,
+    # and the 1-2 component of B-vertex 8 is {8} alone
+    g = cycle_power(10, 2)
+    phi = Coloring(3, (0, 1, 1, 3, 3, 3, 3, 3, 2, 3))
+    with pytest.raises(ContractError, match=r"component of 8 misses both of \(1, 2\)"):
+        neighborhood_split(g, 0, phi)
 
 
 def test_neighborhood_split_requires_regularity():
@@ -221,8 +236,8 @@ def test_neighborhood_split_reuses_the_critical_scan_coloring(g):
     # the one `find_k_coloring` gives g - v itself
     delta = max_degree(g)
     assert min_degree(g) == delta
-    colorings = {}
-    assert extract_vertex_critical(g, delta, colorings) == set(range(g.n))
+    kept, colorings = extract_vertex_critical(g, delta)
+    assert kept == set(range(g.n))
     assert sorted(colorings) == list(range(g.n))
     for v in range(g.n):
         others = [u for u in range(g.n) if u != v]
@@ -233,8 +248,7 @@ def test_neighborhood_split_reuses_the_critical_scan_coloring(g):
 
 def test_neighborhood_split_rejects_a_coloring_of_another_vertex():
     g = cycle_power(13, 2)
-    colorings = {}
-    extract_vertex_critical(g, 4, colorings)
+    colorings = extract_vertex_critical(g, 4)[1]
     with pytest.raises(ContractError):
         neighborhood_split(g, 1, colorings[0])
     with pytest.raises(ContractError):
@@ -247,11 +261,19 @@ def test_neighborhood_split_rejects_a_coloring_of_another_vertex():
 def test_split_attachment_counts():
     g10 = cycle_power(10, 2)
     s10 = _split(g10, 0)
-    assert split_attachment_check(g10, s10, 2) == 1
-    assert split_attachment_check(g10, s10, 8) == 1
+    # each A-vertex sees |B| - 1 = 1 of B: no clique, and no contradiction
+    assert split_attachment_check(g10, s10, 2) is None
+    assert split_attachment_check(g10, s10, 8) is None
     g7 = cycle_power(7, 2)
     s7 = _split(g7, 0)
-    assert split_attachment_check(g7, s7, 2) == 1
+    assert split_attachment_check(g7, s7, 2) is None
+
+
+def test_split_attachment_rejects_a_wrong_count():
+    # a fabricated split of C10^2 at 0 whose A-vertex 2 sees none of B
+    fake = NeighborhoodSplit(0, (2, 8), frozenset({5, 6}))
+    with pytest.raises(ContractError, match="vertex 2 has 0 neighbours in B, expected 1 or 2"):
+        split_attachment_check(cycle_power(10, 2), fake, 2)
 
 
 def test_split_attachment_full_closes_clique():
@@ -285,6 +307,20 @@ def test_path_quads_on_squared_cycles(n, quad):
     assert not g.has_edge(a1, b2) and not g.has_edge(b1, a2) and not g.has_edge(a1, a2)
 
 
+@pytest.mark.parametrize(
+    "a,b,reason",
+    [
+        ((2, 8), {1, 5, 9}, "A-vertices miss 2 and 2 B-vertices, expected 1 and 1"),
+        ((2, 8), {0, 5}, "vertex 5 is attached to neither A-vertex"),
+        ((2, 3), {0, 5}, r"induced structure on \(2, 0, 5, 3\) is not the expected path"),
+    ],
+)
+def test_path_quad_rejects_fabricated_splits(a, b, reason):
+    # splits of C10^2 at 0 that no valid instance yields
+    with pytest.raises(ContractError, match=reason):
+        path_quad(cycle_power(10, 2), NeighborhoodSplit(0, a, frozenset(b)))
+
+
 # --- squared-cycle trace ---------------------------------------------------------------
 
 
@@ -298,18 +334,18 @@ def test_trace_labels_squared_cycles(n):
         with pytest.raises(ContractError, match="no coloring of g minus"):
             _trace(g)
         return
-    out = _trace(g)
     if n % 3 == 0:
-        assert isinstance(out, Inconsistent)
+        with pytest.raises(ContractError, match="colour 3 is unused around 0; the coloring extends"):
+            _trace(g)
         return
+    out = _trace(g)
     assert isinstance(out, SquaredCycleLabeling) and out.n == n
-    pos = out.position
-    assert sorted(pos) == list(range(n))
-    for u in range(n):
-        for w in range(u + 1, n):
-            d = abs(pos[u] - pos[w])
-            d = min(d, n - d)
-            assert g.has_edge(u, w) == (d in (1, 2))
+    at = out.vertex_at
+    assert sorted(at) == list(range(n))
+    for p in range(n):
+        for q in range(p + 1, n):
+            d = min(q - p, n - q + p)
+            assert g.has_edge(at[p], at[q]) == (d in (1, 2))
 
 
 @pytest.mark.parametrize("n", [16, 40])
@@ -411,8 +447,9 @@ def _relabelled_square(n, copy):
     ],
 )
 def test_trace_and_witness_pinned_on_relabelled_squares(n, copy, position, cert):
+    # `position` pins each vertex's place; the labeling holds its inverse
     g = _relabelled_square(n, copy)
-    assert _trace(g) == SquaredCycleLabeling(n, position)
+    assert _trace(g) == SquaredCycleLabeling(n, tuple(sorted(range(n), key=position.__getitem__)))
     assert find_witness(g) == cert
 
 
@@ -427,10 +464,9 @@ def test_trace_fails_cleanly_off_family():
         (u, u ^ (1 << b)) for u in range(16) for b in range(4) if u < u ^ (1 << b)
     ]
     q4 = graph_from_edges(16, edges)
-    out = _trace(q4)
-    assert isinstance(out, (Inconsistent, HighOddHoleWitness, CliqueWitness))
-    if isinstance(out, (HighOddHoleWitness, CliqueWitness)):
-        assert verify_certificate(q4, out).ok
+    # bipartite: the coloring of q4 - 0 leaves a colour free around 0
+    with pytest.raises(ContractError, match="colour 2 is unused around 0; the coloring extends"):
+        _trace(q4)
     with pytest.raises(ContractError):
         _trace(petersen())  # 3-regular
 
@@ -482,7 +518,8 @@ def test_squared_cycle_minus_a_vertex_three_colorable_iff_one_mod_three(n):
 def test_trace_inconsistent_on_squares_off_the_endgame(n):
     g = cycle_power(n, 2)
     if n % 3 == 0:
-        assert isinstance(_trace(g), Inconsistent)
+        with pytest.raises(ContractError, match="colour 3 is unused around 0; the coloring extends"):
+            _trace(g)
     else:
         # 2 mod 3: not vertex-critical, so the scan stores no coloring of g - v
         # for some v, and the trace refuses to probe without one

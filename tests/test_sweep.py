@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -101,6 +102,7 @@ def labeled_connected_count(n):
 
 
 CORPUS_N8 = Path(__file__).resolve().parents[1] / "bench" / "data" / "connected_n8.g6"
+GENERATION_DIGESTS = Path(__file__).resolve().parent / "data" / "generation_digests.json"
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -125,6 +127,20 @@ def test_search_code_is_the_graph6_bit_vector():
     for n in range(1, 8):
         for g in generate_connected_graphs(n):
             assert _code(g) == graph_mod._parse_graph6(encode_graph6(g))[1]
+
+
+def generation_digest(n):
+    """sha256 of the graph6 lines of level n, in emission order."""
+    text = "\n".join(encode_graph6(g) for g in generate_connected_graphs(n))
+    return hashlib.sha256(text.encode("ascii")).hexdigest()
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_generation_is_pinned_byte_for_byte(n):
+    # labelling and emission order of each level; CI checks n = 9, which
+    # takes about 20 s
+    levels = json.loads(GENERATION_DIGESTS.read_text(encoding="ascii"))["levels"]
+    assert generation_digest(n) == levels[str(n)]
 
 
 def test_generation_gives_canonical_representatives():

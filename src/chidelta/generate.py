@@ -23,12 +23,19 @@ is kept (B. D. McKay, "Isomorph-free exhaustive generation", J. Algorithms
   new vertex w joined to each nonempty mask that is least in its orbit
   under Aut(P), and the child C = P + w is kept exactly when w lies in the
   Aut(C)-orbit of C's canonical deletion vertex.
+- Degree threshold.  Let top be the largest degree of a non-cut vertex u of
+  P.  A mask S with 2 <= |S| < top is not tried: u stays non-cut in C, as
+  P - u is connected and S has a vertex other than u, and its degree in C is
+  at least top > |S|, the degree of w.  Degree leads the invariant, so w
+  ranks below u and is not in the orbit of the canonical deletion vertex.
+  Automorphisms keep |S|, so leaving these masks out changes no other orbit.
 
 Every class is emitted: from a graph of the class delete its canonical
 deletion vertex m; what remains is connected, so an isomorphism carries it
 onto a representative P and m's neighbours onto a mask S of P.  The child
 from the least mask in the Aut(P)-orbit of S is isomorphic to the graph by an
-isomorphism taking w to m, so it is tried and kept.  No class is emitted
+isomorphism taking w to m, so it is tried (the threshold drops only
+children that would be rejected) and kept.  No class is emitted
 twice: if kept children P + S and P' + S' are isomorphic, some isomorphism
 between them takes w to w, since in both w lies in the orbit of the
 canonical deletion vertex.  It restricts to an isomorphism of P onto P', so
@@ -150,12 +157,21 @@ def _search(n: int, adj: tuple[int, ...]) -> tuple[int, list[list[int]], list[in
         d += 1
 
 
-def _orbit_minima(n: int, autos: list[list[int]]) -> list[int]:
+@lru_cache(maxsize=None)
+def _masks(n: int, least: int) -> tuple[int, ...]:
+    """Nonempty masks of range(n), ascending, but for those of 2 to least - 1 vertices."""
+    return tuple(m for m in range(1, 1 << n) if m & (m - 1) == 0 or m.bit_count() >= least)
+
+
+def _orbit_minima(n: int, autos: list[list[int]], least: int = 1) -> list[int]:
     """Nonempty vertex masks, ascending, that are least in their orbit under
-    the group generated by the permutations `autos` of range(n)."""
+    the group generated by the permutations `autos` of range(n).  Masks of 2
+    to least - 1 vertices are left out; orbits keep the vertex count, so this
+    changes no other mask's orbit."""
     top = 1 << n
+    masks = _masks(n, least)
     if not autos:
-        return list(range(1, top))
+        return list(masks)
     images = []
     for perm in autos:
         image = [0] * top
@@ -165,7 +181,7 @@ def _orbit_minima(n: int, autos: list[list[int]]) -> list[int]:
         images.append(image)
     done = bytearray(top)
     out = []
-    for mask in range(1, top):
+    for mask in masks:
         if done[mask]:
             continue
         out.append(mask)
@@ -220,8 +236,12 @@ def _connected_level(n: int) -> tuple[tuple[int, ...], ...]:
     kept exactly when w lies in the Aut(C)-orbit of C's canonical deletion
     vertex.  Invariants are packed as degree << 8 | neighbour degree sum,
     which fits for n <= 16.  A child in which some non-cut vertex has a
-    larger invariant than w is rejected before its canonical search.  The
-    module docstring shows that this emits every class exactly once.
+    larger invariant than w is rejected before its canonical search.  Before
+    that, a mask of 2 to top - 1 vertices, top the largest degree of a
+    non-cut vertex of P, is not even built: that vertex beats w by degree.
+    Only vertices whose degree in C reaches k = |mask|, the degree of w, are
+    compared with w.  The module docstring shows that this emits every class
+    exactly once.
     """
     if n == 1:
         return ((0,),)
@@ -236,18 +256,31 @@ def _connected_level(n: int) -> tuple[tuple[int, ...], ...]:
         keys = [degree[v] << 8 | dsum[row] for v, row in enumerate(parent)]
         # v is a non-cut vertex of P + w exactly when w meets every component of P - v
         parts = [_components(parent, everyone ^ 1 << v) for v in range(new)]
-        for mask in _orbit_minima(new, _search(new, parent)[1]):
+        top = max((degree[v] for v in range(new) if len(parts[v]) == 1), default=0)
+        # at_least[d]: mask of the vertices of degree at least d in P
+        at_least = [sum(1 << v for v in range(new) if degree[v] >= d) for d in range(new + 1)]
+        for mask in _orbit_minima(new, _search(new, parent)[1], top):
             k = mask.bit_count()
             key = k << 8 | k + dsum[mask]
             tied = 1 << new  # w and the non-cut vertices whose key equals w's
-            for v in range(new):
+            # only a vertex whose degree in C reaches k can match w's key
+            rivals = at_least[k] | mask & at_least[k - 1]
+            while rivals:
+                low = rivals & -rivals
+                rivals ^= low
+                v = low.bit_length() - 1
                 child_key = keys[v] + (parent[v] & mask).bit_count()
-                if mask >> v & 1:  # w adds one to v's degree and k to its sum
+                if mask & low:  # w adds one to v's degree and k to its sum
                     child_key += (1 << 8) + k
-                if child_key >= key and all(mask & part for part in parts[v]):
+                if child_key < key:
+                    continue
+                for part in parts[v]:
+                    if not mask & part:
+                        break
+                else:  # v is a non-cut vertex of C
                     if child_key > key:
                         break
-                    tied |= 1 << v
+                    tied |= low
             else:  # no non-cut vertex beats w
                 rows = [row | (mask >> v & 1) << new for v, row in enumerate(parent)]
                 rows.append(mask)

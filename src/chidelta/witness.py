@@ -86,8 +86,8 @@ def kempe_adjacency_probe(
     """
     if len(phi.colors) != h.n:
         raise ContractError(f"coloring has {len(phi.colors)} entries, graph has {h.n} vertices")
-    uncolored = [v for v in range(h.n) if not phi.is_colored(v)]
-    if uncolored != [x]:
+    if phi.colors.count(0) != 1 or phi.colors[x] != 0:
+        uncolored = [v for v in range(h.n) if not phi.is_colored(v)]
         raise ContractError(f"expected exactly vertex {x} uncoloured, got {uncolored}")
     if not (h.has_edge(x, y) and h.has_edge(x, z)):
         raise ContractError(f"{y} and {z} must both be neighbours of {x}")
@@ -170,8 +170,8 @@ def neighborhood_split(
         raise ContractError(f"maximum degree {delta} below 4")
     if min_degree(g) != delta:
         raise ContractError("graph is not regular")
-    others = [u for u in range(g.n) if u != v]
-    if phi.k != delta - 1 or list(phi.colored_vertices()) != others:
+    colors = phi.colors
+    if phi.k != delta - 1 or len(colors) != g.n or colors.count(0) != 1 or colors[v] != 0:
         raise ContractError(f"given coloring is not a ({delta - 1})-coloring of g minus {v}")
     by_color: dict[int, list[int]] = {}
     for u in g.neighbors(v):

@@ -36,6 +36,7 @@ from chidelta.graph import (
     decode_graph6,
     encode_graph6,
     graph_from_edges,
+    induced_subgraph,
     is_connected,
     max_degree,
 )
@@ -129,7 +130,7 @@ def test_search_code_is_the_graph6_bit_vector():
             assert _code(g) == graph_mod._parse_graph6(encode_graph6(g))[1]
 
 
-def generation_digest(n):
+def _generation_digest(n):
     """sha256 of the graph6 lines of level n, in emission order."""
     text = "\n".join(encode_graph6(g) for g in generate_connected_graphs(n))
     return hashlib.sha256(text.encode("ascii")).hexdigest()
@@ -140,7 +141,7 @@ def test_generation_is_pinned_byte_for_byte(n):
     # labelling and emission order of each level; CI checks n = 9, which
     # takes about 20 s
     levels = json.loads(GENERATION_DIGESTS.read_text(encoding="ascii"))["levels"]
-    assert generation_digest(n) == levels[str(n)]
+    assert _generation_digest(n) == levels[str(n)]
 
 
 def test_generation_gives_canonical_representatives():
@@ -280,6 +281,56 @@ def test_pruned_masks_give_children_already_seen(n):
                 skipped += 1
                 assert first.get(code, mask) < mask
     assert skipped
+
+
+def _non_cut(g, v):
+    return is_connected(induced_subgraph(g, [u for u in range(g.n) if u != v])[0])
+
+
+def _beaten(parent, mask):
+    # the full rival rule of generation: the child C = P + w is rejected when
+    # a non-cut vertex of C has a larger invariant (degree, then the sum of
+    # its neighbours' degrees) than the new vertex w
+    n = parent.n
+    c = graph_from_edges(n + 1, list(parent.edges()) + [(v, n) for v in range(n) if mask >> v & 1])
+
+    def key(u):
+        return c.degree(u), sum(c.degree(x) for x in c.neighbors(u))
+
+    return any(key(v) > key(n) and _non_cut(c, v) for v in range(n))
+
+
+def _least_kept(every, least):
+    return [m for m in every if m.bit_count() == 1 or m.bit_count() >= least]
+
+
+def test_degree_threshold_drops_only_rejected_children():
+    # generation skips masks of 2 <= k < top vertices, top the largest degree
+    # of a non-cut vertex of P: that vertex stays non-cut in C with a degree
+    # above k, the degree of w
+    dropped = tried = 0
+    for n in range(1, 8):
+        for parent in generate_connected_graphs(n):
+            top = max((parent.degree(v) for v in range(n) if _non_cut(parent, v)), default=0)
+            autos = generate_mod._search(n, _rows(parent))[1]
+            every = generate_mod._orbit_minima(n, autos)
+            kept = generate_mod._orbit_minima(n, autos, top)
+            assert kept == _least_kept(every, top), encode_graph6(parent)
+            for mask in sorted(set(every) - set(kept)):
+                assert _beaten(parent, mask), (encode_graph6(parent), mask)
+            dropped += len(every) - len(kept)
+            tried += len(every)
+    assert (dropped, tried) == (34294, 71300)
+
+
+def test_orbit_minima_lower_bound_keeps_the_other_orbits():
+    for g in _key_samples():
+        if g.n <= 8:
+            autos = generate_mod._search(g.n, _rows(g))[1]
+            every = generate_mod._orbit_minima(g.n, autos)
+            for least in range(1, g.n + 2):
+                kept = generate_mod._orbit_minima(g.n, autos, least)
+                assert kept == _least_kept(every, least), (encode_graph6(g), least)
 
 
 def test_pruning_a_complete_parent_is_fast():

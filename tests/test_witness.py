@@ -255,6 +255,14 @@ def test_neighborhood_split_rejects_a_coloring_of_another_vertex():
         neighborhood_split(g, 0, Coloring(4, colorings[0].colors))
 
 
+def test_neighborhood_split_rejects_a_long_coloring():
+    # the scan's coloring of C13^2 - 0 with one more, uncoloured, entry
+    g = cycle_power(13, 2)
+    phi = extract_vertex_critical(g, 4)[1][0]
+    with pytest.raises(ContractError, match=r"not a \(3\)-coloring of g minus 0"):
+        neighborhood_split(g, 0, Coloring(3, phi.colors + (0,)))
+
+
 # --- attachment count and path quad ---------------------------------------------------
 
 

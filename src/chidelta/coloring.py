@@ -1,61 +1,23 @@
 """Exact vertex colouring, Kempe chains, and vertex-critical subgraph extraction.
 
-The solver is exact branch-and-bound with saturation-degree ordering (DSatur)
-and a deterministic branching rule, so every coloring it hands out is
-reproducible for a fixed graph labeling.  It keeps each vertex's saturation
-incrementally, touching only the neighbours of the vertex it paints or
-unpaints, and backtracks over an explicit stack, so search depth is not
-bounded by the interpreter's recursion limit.  Kempe machinery works on
-two-colour components of a proper partial coloring.
+A colouring is a plain tuple, `Coloring`: `phi[v]` is v's colour in 1..k,
+and 0 means v is uncoloured.  The solver is exact branch-and-bound with
+saturation-degree ordering (DSatur) and a deterministic branching rule, so
+every colouring it hands out is reproducible for a fixed graph labeling.  It
+keeps each vertex's saturation incrementally, touching only the neighbours of
+the vertex it paints or unpaints, and backtracks over an explicit stack, so
+search depth is not bounded by the interpreter's recursion limit.  A Kempe
+chain, a two-colour component of a proper partial colouring, is the frozenset
+of its vertices.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 from .graph import Graph
 
-
-@dataclass(frozen=True)
-class Coloring:
-    """Partial vertex coloring: colors 1..k, with 0 meaning uncoloured."""
-
-    k: int
-    colors: tuple[int, ...]
-
-    def color_of(self, v: int) -> int:
-        return self.colors[v]
-
-    def is_colored(self, v: int) -> bool:
-        return self.colors[v] != 0
-
-    def colored_vertices(self) -> tuple[int, ...]:
-        return tuple(v for v, c in enumerate(self.colors) if c)
-
-
-@dataclass(frozen=True)
-class KempeChain:
-    """A maximal connected two-colour component containing `start`."""
-
-    colors: tuple[int, int]
-    start: int
-    members: frozenset[int]
-
-
-def is_proper(g: Graph, c: Coloring, on: Iterable[int] | None = None) -> bool:
-    """True iff no edge inside `on` (default: all coloured vertices) is monochromatic."""
-    verts = sorted(set(on)) if on is not None else list(c.colored_vertices())
-    inside = set(verts)
-    for v in verts:
-        if not c.is_colored(v):
-            raise ValueError(f"vertex {v} is uncoloured")
-    for v in verts:
-        cv = c.colors[v]
-        for u in g.neighbors(v):
-            if u in inside and c.colors[u] == cv:
-                return False
-    return True
+Coloring = tuple[int, ...]
 
 
 def find_k_coloring(g: Graph, k: int, on: Iterable[int] | None = None) -> Coloring | None:
@@ -76,7 +38,7 @@ def find_k_coloring(g: Graph, k: int, on: Iterable[int] | None = None) -> Colori
         raise ValueError("palette size must be at least 1")
     free = _vertex_list(g, on)
     if not free:
-        return Coloring(k, (0,) * g.n)
+        return (0,) * g.n
     nbrs = g.neighbors
     stride = k + 1
     colors = [0] * g.n
@@ -112,7 +74,7 @@ def find_k_coloring(g: Graph, k: int, on: Iterable[int] | None = None) -> Colori
                 seen[j] += 1
             stack.append((v, i, c, used))
             if not free:
-                return Coloring(k, tuple(colors))
+                return tuple(colors)
             if c > used:
                 used = c
             c = 0
@@ -176,21 +138,17 @@ def _greedy_clique(g: Graph, verts: list[int]) -> list[int]:
     return clique
 
 
-def _core_coloring(
-    g: Graph, k: int, verts: list[int], clique_fits: bool = False
-) -> tuple[list[int], Coloring | None]:
+def _core_coloring(g: Graph, k: int, verts: list[int]) -> tuple[list[int], Coloring | None]:
     # The k-core of the subgraph induced by the distinct ascending `verts`,
     # and a k-coloring of it, or None when `verts` has no k-coloring.  A
     # vertex with fewer than k neighbours can always be coloured last, so
     # peel such vertices until none is left: the rest is the k-core, which
     # is k-colourable exactly when `verts` is.  A greedy clique of more than k
-    # vertices lies inside the core and settles it without a search; a
-    # caller that knows the greedy clique of `verts` to have at most k
-    # vertices passes `clique_fits`, and it is not recomputed unless peeling
-    # changed the set.  The clique only cuts short a search that would
-    # return None, so it never changes the coloring returned.  An empty
-    # core gets the empty coloring `find_k_coloring(g, k, [])` would return,
-    # without the clique or the search.
+    # vertices lies inside the core and settles it without a search.  The
+    # clique only cuts short a search that would return None, so it never
+    # changes the coloring returned.  An empty core gets the empty coloring
+    # `find_k_coloring(g, k, [])` would return, without the clique or the
+    # search.
     adj = g.adjacency_mask
     inside = 0
     for v in verts:
@@ -207,8 +165,8 @@ def _core_coloring(
             break
         core = left
     if not core:
-        return core, Coloring(k, (0,) * g.n)
-    if not (clique_fits and core is verts) and len(_greedy_clique(g, core)) > k:
+        return core, (0,) * g.n
+    if len(_greedy_clique(g, core)) > k:
         return core, None
     return core, find_k_coloring(g, k, core)
 
@@ -230,24 +188,22 @@ def chromatic_number(g: Graph) -> int:
     """Least k for which a proper k-coloring of all vertices exists (exact).
 
     Starts at the size of a greedy clique and raises k until the vertices
-    are k-colourable, decided as in `is_k_colorable`.  The greedy clique of
-    all vertices never exceeds k here, so it is recomputed only on a core
-    that peeling made smaller.
+    are k-colourable, decided as in `is_k_colorable`.
     """
     if g.n == 0:
         raise ValueError("chromatic number of the empty graph")
     verts = list(range(g.n))
     k = len(_greedy_clique(g, verts))
-    while _core_coloring(g, k, verts, clique_fits=True)[1] is None:
+    while _core_coloring(g, k, verts)[1] is None:
         k += 1
     return k
 
 
-def kempe_chain(g: Graph, c: Coloring, start: int, a: int, b: int) -> KempeChain:
-    """Connected component of `start` in the subgraph induced by colours {a, b}."""
+def kempe_chain(g: Graph, c: Coloring, start: int, a: int, b: int) -> frozenset[int]:
+    """Vertex set of the component of `start` in the subgraph induced by colours {a, b}."""
     if a == b:
         raise ValueError("chain colours must be distinct")
-    if c.colors[start] not in (a, b):
+    if c[start] not in (a, b):
         raise ValueError(f"start vertex {start} is not coloured {a} or {b}")
     members = {start}
     frontier = [start]
@@ -255,15 +211,15 @@ def kempe_chain(g: Graph, c: Coloring, start: int, a: int, b: int) -> KempeChain
         nxt = []
         for v in frontier:
             for u in g.neighbors(v):
-                if u not in members and c.colors[u] in (a, b):
+                if u not in members and c[u] in (a, b):
                     members.add(u)
                     nxt.append(u)
         frontier = nxt
-    return KempeChain((a, b), start, frozenset(members))
+    return frozenset(members)
 
 
 def shortest_path_in_chain(
-    g: Graph, chain: KempeChain, start: int, targets: Iterable[int]
+    g: Graph, chain: frozenset[int], start: int, targets: Iterable[int]
 ) -> tuple[int, ...] | None:
     """Shortest path inside the chain from `start` to the nearest target.
 
@@ -271,7 +227,7 @@ def shortest_path_in_chain(
     predecessor, and among targets in the first reachable layer the lowest id
     wins, so the returned path is deterministic.
     """
-    if start not in chain.members:
+    if start not in chain:
         raise ValueError(f"start vertex {start} is not in the chain")
     goal = set(targets)
     if start in goal:
@@ -282,7 +238,7 @@ def shortest_path_in_chain(
         discovered: dict[int, int] = {}
         for u in sorted(frontier):
             for w in g.neighbors(u):
-                if w in chain.members and w not in parent and w not in discovered:
+                if w in chain and w not in parent and w not in discovered:
                     discovered[w] = u
         if not discovered:
             return None

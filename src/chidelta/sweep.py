@@ -72,9 +72,6 @@ class SweepReport:
     def total_mismatches(self) -> int:
         return sum(o.kind_mismatches for o in self.orders)
 
-    def exceptional_by_order(self) -> dict[int, int]:
-        return {o.n: o.exceptional for o in self.orders if o.exceptional}
-
     def problems(self) -> list[str]:
         out = []
         if self.total_failures:

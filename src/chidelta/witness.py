@@ -84,25 +84,23 @@ def kempe_adjacency_probe(
     path, and x has no other neighbour coloured phi(y) or phi(z)); that hole
     is returned, unverified, as built.
     """
-    if len(phi.colors) != h.n:
-        raise ContractError(f"coloring has {len(phi.colors)} entries, graph has {h.n} vertices")
-    if phi.colors.count(0) != 1 or phi.colors[x] != 0:
-        uncolored = [v for v in range(h.n) if not phi.is_colored(v)]
+    if len(phi) != h.n:
+        raise ContractError(f"coloring has {len(phi)} entries, graph has {h.n} vertices")
+    if phi.count(0) != 1 or phi[x] != 0:
+        uncolored = [v for v in range(h.n) if not phi[v]]
         raise ContractError(f"expected exactly vertex {x} uncoloured, got {uncolored}")
     if not (h.has_edge(x, y) and h.has_edge(x, z)):
         raise ContractError(f"{y} and {z} must both be neighbours of {x}")
-    cy, cz = phi.color_of(y), phi.color_of(z)
+    cy, cz = phi[y], phi[z]
     if cy == cz:
         raise ContractError(f"probed vertices share colour {cy}")
     for u in h.neighbors(x):
-        if u not in (y, z) and phi.color_of(u) in (cy, cz):
-            raise ContractError(
-                f"colour {phi.color_of(u)} reappears on neighbour {u} of {x}"
-            )
+        if u not in (y, z) and phi[u] in (cy, cz):
+            raise ContractError(f"colour {phi[u]} reappears on neighbour {u} of {x}")
     if h.has_edge(y, z):
         return None
     chain = kempe_chain(h, phi, y, cy, cz)
-    if z not in chain.members:
+    if z not in chain:
         raise ContractError(
             f"swap on the ({cy},{cz})-component of {y} would extend the coloring to {x}"
         )
@@ -142,7 +140,7 @@ def degree_deficient_probe(h: Graph, v: int) -> Certificate:
             f"graph minus {v} admits no ({delta - 1})-coloring; input is not critical"
         )
     nbrs = h.neighbors(v)
-    if len({phi.color_of(u) for u in nbrs}) != len(nbrs):
+    if len({phi[u] for u in nbrs}) != len(nbrs):
         raise ContractError(
             f"coloring extends to {v}; the claimed chromatic number is too high"
         )
@@ -155,8 +153,8 @@ def neighborhood_split(
     """Split N(v) of a regular graph into the duplicated-colour pair and a clique.
 
     `phi` is a (max degree - 1)-coloring of exactly g - v, the one the
-    critical scan found when it kept v; any other coloring is a
-    ContractError naming v.  Exactly one colour must repeat among the
+    critical scan found when it kept v; any other coloring, a colour
+    outside 1..max degree - 1 included, is a ContractError naming v.  Exactly one colour must repeat among the
     neighbours (pigeonhole, provided every colour shows up); the repeated
     pair A is non-adjacent by properness.  Pairs inside B = N(v) - A are
     certified adjacent by the Kempe probe, and each B-vertex is attached to
@@ -170,12 +168,11 @@ def neighborhood_split(
         raise ContractError(f"maximum degree {delta} below 4")
     if min_degree(g) != delta:
         raise ContractError("graph is not regular")
-    colors = phi.colors
-    if phi.k != delta - 1 or len(colors) != g.n or colors.count(0) != 1 or colors[v] != 0:
+    if len(phi) != g.n or phi.count(0) != 1 or phi[v] != 0 or not set(phi) <= set(range(delta)):
         raise ContractError(f"given coloring is not a ({delta - 1})-coloring of g minus {v}")
     by_color: dict[int, list[int]] = {}
     for u in g.neighbors(v):
-        by_color.setdefault(phi.color_of(u), []).append(u)
+        by_color.setdefault(phi[u], []).append(u)
     if len(by_color) < delta - 1:
         missing = sorted(set(range(1, delta)) - set(by_color))
         raise ContractError(f"colour {missing[0]} is unused around {v}; the coloring extends")
@@ -186,8 +183,8 @@ def neighborhood_split(
     hole = _probe_pairs(g, v, b_set, phi)
     if hole is not None:
         return hole
-    for b in sorted(b_set, key=phi.color_of):
-        chain = kempe_chain(g, phi, b, dup_color, phi.color_of(b))
+    for b in sorted(b_set, key=lambda u: phi[u]):
+        chain = kempe_chain(g, phi, b, dup_color, phi[b])
         path = shortest_path_in_chain(g, chain, b, set(a_pair))
         if path is None:
             raise ContractError(f"component of {b} misses both of {a_pair}; the coloring extends")

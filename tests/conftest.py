@@ -2,20 +2,22 @@
 
 The oracles here are deliberately separate implementations: a string-based
 graph6 reference codec, chromatic number by honest enumeration of all
-assignments, and networkx for isomorphism and codec cross-checks.  The Kempe
-swap and the residue-class colourings of squared cycles are facts the tests
-check about the proof's setting; no route of the program needs them.
+assignments, and networkx for isomorphism and codec cross-checks.  The
+properness check, the Kempe swap and the residue-class colourings of squared
+cycles are facts the tests check about the proof's setting; no route of the
+program needs them.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Iterable
 
 import networkx as nx
 import pytest
 
-from chidelta.coloring import Coloring, KempeChain
+from chidelta.coloring import Coloring
 from chidelta.graph import Graph, complement, cycle_power, graph_from_edges
 
 
@@ -100,16 +102,19 @@ def named_instances():
     }
 
 
-def kempe_swap(c: Coloring, chain: KempeChain) -> Coloring:
-    """Exchange the chain's two colours on its members; everything else unchanged."""
-    a, b = chain.colors
-    swapped = list(c.colors)
-    for v in chain.members:
-        if swapped[v] == a:
-            swapped[v] = b
-        elif swapped[v] == b:
-            swapped[v] = a
-    return Coloring(c.k, tuple(swapped))
+def is_proper(g: Graph, c: Coloring, on: Iterable[int] | None = None) -> bool:
+    """True iff no edge inside `on` (default: all coloured vertices) is monochromatic."""
+    verts = set(on) if on is not None else {v for v, cv in enumerate(c) if cv}
+    for v in verts:
+        if not c[v]:
+            raise ValueError(f"vertex {v} is uncoloured")
+    return all(c[u] != c[v] for v in verts for u in g.neighbors(v) if u in verts)
+
+
+def kempe_swap(c: Coloring, chain: frozenset[int], a: int, b: int) -> Coloring:
+    """Exchange colours a and b on the chain's vertices; everything else unchanged."""
+    swap = {a: b, b: a}
+    return tuple(swap.get(cv, cv) if v in chain else cv for v, cv in enumerate(c))
 
 
 @dataclass(frozen=True)
@@ -132,7 +137,7 @@ def sequence_three_coloring(n: int) -> Coloring:
     """Proper 3-coloring of the squared n-cycle for n divisible by 3."""
     if n % 3 != 0 or n < 6:
         raise ValueError(f"n={n} must be a multiple of 3, at least 6")
-    return Coloring(3, tuple(p % 3 + 1 for p in range(n)))
+    return tuple(p % 3 + 1 for p in range(n))
 
 
 def forced_coloring_conflict(n: int) -> ConflictReport:

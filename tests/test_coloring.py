@@ -6,18 +6,24 @@ from hypothesis import strategies as st
 
 import chidelta.coloring as coloring_mod
 from chidelta.coloring import (
-    Coloring,
     chromatic_number,
     extract_vertex_critical,
     find_k_coloring,
     is_k_colorable,
-    is_proper,
     kempe_chain,
     shortest_path_in_chain,
 )
 from chidelta.graph import cycle_power, graph_from_edges, induced_subgraph, max_degree, min_degree
 
-from conftest import brute_chromatic, c7_complement, k_n, kempe_swap, path_n, random_graph
+from conftest import (
+    brute_chromatic,
+    c7_complement,
+    is_proper,
+    k_n,
+    kempe_swap,
+    path_n,
+    random_graph,
+)
 
 
 def _critical(g):
@@ -27,21 +33,21 @@ def _critical(g):
 
 def test_is_proper_examples():
     k3 = k_n(3)
-    assert is_proper(k3, Coloring(3, (1, 2, 3)))
-    assert not is_proper(k3, Coloring(3, (1, 1, 2)))
+    assert is_proper(k3, (1, 2, 3))
+    assert not is_proper(k3, (1, 1, 2))
     c5 = cycle_power(5, 1)
-    assert is_proper(c5, Coloring(3, (1, 2, 1, 2, 3)))
+    assert is_proper(c5, (1, 2, 1, 2, 3))
 
 
 def test_is_proper_requires_colored_vertices():
     with pytest.raises(ValueError):
-        is_proper(k_n(3), Coloring(3, (1, 0, 2)), on={0, 1})
+        is_proper(k_n(3), (1, 0, 2), on={0, 1})
 
 
 def test_is_proper_restricted_to_on():
     # the monochromatic edge (0, 1) is outside `on`
     g = path_n(3)
-    c = Coloring(2, (1, 1, 2))
+    c = (1, 1, 2)
     assert is_proper(g, c, on={1, 2})
     assert not is_proper(g, c)
 
@@ -58,7 +64,7 @@ def test_find_k_coloring_on_subset():
     g = k_n(4)
     c = find_k_coloring(g, 3, on={0, 1, 2})
     assert c is not None
-    assert c.colored_vertices() == (0, 1, 2)
+    assert [v for v in range(g.n) if c[v]] == [0, 1, 2]
     assert is_proper(g, c, on={0, 1, 2})
 
 
@@ -155,7 +161,7 @@ def _find_k_coloring_reference(g, k, on=None):
         return False
 
     if solve(len(verts), 0):
-        return Coloring(k, tuple(colors))
+        return tuple(colors)
     return None
 
 
@@ -179,27 +185,27 @@ def test_find_k_coloring_matches_reference():
 
 def test_kempe_chain_on_path():
     g = path_n(3)
-    c = Coloring(2, (1, 2, 1))
+    c = (1, 2, 1)
     chain = kempe_chain(g, c, 0, 1, 2)
-    assert chain.members == {0, 1, 2}
+    assert chain == {0, 1, 2}
 
 
 def test_kempe_chain_singleton():
     g = graph_from_edges(2, [])
-    c = Coloring(2, (1, 2))
-    assert kempe_chain(g, c, 0, 1, 2).members == {0}
+    c = (1, 2)
+    assert kempe_chain(g, c, 0, 1, 2) == {0}
 
 
 def test_kempe_chain_c5_example():
     c5 = cycle_power(5, 1)
-    c = Coloring(3, (1, 2, 1, 2, 3))
+    c = (1, 2, 1, 2, 3)
     chain = kempe_chain(c5, c, 0, 1, 2)
-    assert chain.members == {0, 1, 2, 3}
+    assert chain == {0, 1, 2, 3}
 
 
 def test_kempe_chain_validates_start():
     c5 = cycle_power(5, 1)
-    c = Coloring(3, (1, 2, 1, 2, 3))
+    c = (1, 2, 1, 2, 3)
     with pytest.raises(ValueError):
         kempe_chain(c5, c, 4, 1, 2)
     with pytest.raises(ValueError):
@@ -208,16 +214,16 @@ def test_kempe_chain_validates_start():
 
 def test_kempe_swap_examples():
     g = graph_from_edges(1, [])
-    c = Coloring(2, (1,))
+    c = (1,)
     chain = kempe_chain(g, c, 0, 1, 2)
-    assert kempe_swap(c, chain).colors == (2,)
+    assert kempe_swap(c, chain, 1, 2) == (2,)
 
     c5 = cycle_power(5, 1)
-    c = Coloring(3, (1, 2, 1, 2, 3))
+    c = (1, 2, 1, 2, 3)
     chain = kempe_chain(c5, c, 0, 1, 2)
-    swapped = kempe_swap(c, chain)
-    assert swapped.colors == (2, 1, 2, 1, 3)
-    assert kempe_swap(swapped, chain) == c  # involution
+    swapped = kempe_swap(c, chain, 1, 2)
+    assert swapped == (2, 1, 2, 1, 3)
+    assert kempe_swap(swapped, chain, 1, 2) == c  # involution
 
 
 @settings(max_examples=200, deadline=None)
@@ -232,28 +238,28 @@ def test_kempe_swap_preserves_properness(data):
     if c is None:
         return
     start = data.draw(st.integers(min_value=0, max_value=n - 1))
-    a = c.color_of(start)
+    a = c[start]
     b = data.draw(st.integers(min_value=1, max_value=k).filter(lambda x: x != a))
     chain = kempe_chain(g, c, start, a, b)
-    assert is_proper(g, kempe_swap(c, chain))
+    assert is_proper(g, kempe_swap(c, chain, a, b))
 
 
 def test_shortest_path_in_chain_examples():
     g = path_n(4)
-    c = Coloring(2, (1, 2, 1, 2))
+    c = (1, 2, 1, 2)
     chain = kempe_chain(g, c, 0, 1, 2)
     assert shortest_path_in_chain(g, chain, 0, {0}) == (0,)
     assert shortest_path_in_chain(g, chain, 0, {3}) == (0, 1, 2, 3)
 
     c5 = cycle_power(5, 1)
-    c = Coloring(3, (1, 2, 1, 2, 3))
+    c = (1, 2, 1, 2, 3)
     chain = kempe_chain(c5, c, 0, 1, 2)
     assert shortest_path_in_chain(c5, chain, 0, {3}) == (0, 1, 2, 3)
 
 
 def test_shortest_path_absent_target():
     g = graph_from_edges(3, [(0, 1)])
-    c = Coloring(2, (1, 2, 1))
+    c = (1, 2, 1)
     chain = kempe_chain(g, c, 0, 1, 2)
     assert shortest_path_in_chain(g, chain, 0, {2}) is None
     with pytest.raises(ValueError):
@@ -263,7 +269,7 @@ def test_shortest_path_absent_target():
 def test_shortest_path_lowest_id_tiebreak():
     # two routes of equal length from 0 to 3: via 1 or via 2
     g = graph_from_edges(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
-    c = Coloring(2, (1, 2, 2, 1))
+    c = (1, 2, 2, 1)
     chain = kempe_chain(g, c, 0, 1, 2)
     assert shortest_path_in_chain(g, chain, 0, {3}) == (0, 1, 3)
 
@@ -405,21 +411,6 @@ def test_greedy_clique_matches_reference():
         for verts in (list(range(n)), subset):
             got = coloring_mod._greedy_clique(g, verts)
             assert got == _greedy_clique_reference(g, verts), (n, sorted(g.edges()), verts)
-
-
-def test_chromatic_number_builds_one_clique_when_nothing_peels(monkeypatch):
-    # C16^2 is 4-regular with chi = 4: neither the 3-core nor the 4-core
-    # test peels a vertex, so the first greedy clique is never rebuilt
-    calls = []
-    original = coloring_mod._greedy_clique
-
-    def counting(h, verts):
-        calls.append(len(verts))
-        return original(h, verts)
-
-    monkeypatch.setattr(coloring_mod, "_greedy_clique", counting)
-    assert chromatic_number(cycle_power(16, 2)) == 4
-    assert calls == [16]
 
 
 def test_extract_critical_matches_restart_scan():

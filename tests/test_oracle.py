@@ -1,7 +1,9 @@
+import ast
 import inspect
 import itertools
 import random
 import sys
+from pathlib import Path
 
 import networkx as nx
 import pytest
@@ -13,7 +15,7 @@ from chidelta.certificate import (
     Verdict,
     verify_certificate,
 )
-from chidelta.coloring import find_k_coloring, is_proper
+from chidelta.coloring import find_k_coloring
 from chidelta.graph import cycle_power, graph_from_edges, max_degree
 from chidelta.oracle import (
     find_clique,
@@ -23,7 +25,7 @@ from chidelta.oracle import (
     oracle_witness,
 )
 
-from conftest import c7_complement, k_n, petersen, random_graph, to_nx
+from conftest import c7_complement, is_proper, k_n, petersen, random_graph, to_nx
 
 
 def brute_find_clique(g, k):
@@ -234,3 +236,52 @@ def test_oracle_witness_soundness_random():
         w = oracle_witness(g)
         if w is not None:
             assert verify_certificate(g, w).ok
+
+
+# --- route independence ---------------------------------------------------------------
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "chidelta"
+
+
+def _package_imports(source):
+    # the chidelta modules that `source` imports, by any import form
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(
+                alias.name.split(".")[1] for alias in node.names if alias.name.startswith("chidelta.")
+            )
+        elif isinstance(node, ast.ImportFrom):
+            if node.level:
+                module = node.module
+            elif (node.module or "").startswith("chidelta."):
+                module = node.module.split(".", 1)[1]
+            elif node.module == "chidelta":
+                module = None
+            else:
+                continue
+            if module:
+                names.add(module.split(".")[0])
+            else:
+                names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_package_imports_reads_every_import_form():
+    source = (
+        "import os\nimport chidelta.sweep\nfrom chidelta.witness import x\n"
+        "from chidelta import coloring\nfrom . import generate\nfrom .cli import main\n"
+        "from networkx import Graph\n"
+    )
+    assert _package_imports(source) == {"sweep", "witness", "coloring", "generate", "cli"}
+
+
+def test_certificate_and_oracle_stay_off_the_proof_route():
+    # the checker and the brute-force route share no code with the proof
+    # route they check: certificate reads only graph, oracle only
+    # certificate and graph
+    def imports(module):
+        return _package_imports((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+
+    assert imports("certificate") == {"graph"}
+    assert imports("oracle") == {"certificate", "graph"}

@@ -13,12 +13,10 @@ from chidelta.certificate import (
 )
 import chidelta.coloring as coloring_mod
 from chidelta.coloring import (
-    Coloring,
     chromatic_number,
     extract_vertex_critical,
     find_k_coloring,
     is_k_colorable,
-    is_proper,
 )
 from chidelta.graph import (
     cycle_power,
@@ -47,6 +45,7 @@ from chidelta.witness import (
 from conftest import (
     c7_complement,
     forced_coloring_conflict,
+    is_proper,
     k_n,
     path_n,
     petersen,
@@ -91,13 +90,13 @@ def _trace(g):
 
 def test_probe_adjacent_in_k4():
     g = k_n(4)
-    phi = Coloring(3, (1, 2, 3, 0))
+    phi = (1, 2, 3, 0)
     assert kempe_adjacency_probe(g, 3, 0, 1, phi) is None
 
 
 def test_probe_closes_hole_on_c5():
     c5 = cycle_power(5, 1)
-    phi = Coloring(2, (0, 1, 2, 1, 2))
+    phi = (0, 1, 2, 1, 2)
     out = kempe_adjacency_probe(c5, 0, 1, 4, phi)
     assert out == HighOddHoleWitness((1, 2, 3, 4, 0))
     assert verify_certificate(c5, out).ok
@@ -105,30 +104,30 @@ def test_probe_closes_hole_on_c5():
 
 def test_probe_flags_extendable_coloring():
     c5 = cycle_power(5, 1)
-    phi = Coloring(3, (0, 1, 2, 1, 3))
+    phi = (0, 1, 2, 1, 3)
     with pytest.raises(ContractError, match=r"swap on the \(1,3\)-component of 1 would extend the coloring to 0"):
         kempe_adjacency_probe(c5, 0, 1, 4, phi)
 
 
 def test_probe_rejects_a_short_coloring():
     with pytest.raises(ContractError, match="coloring has 4 entries, graph has 5 vertices"):
-        kempe_adjacency_probe(cycle_power(5, 1), 0, 1, 4, Coloring(2, (0, 1, 2, 1)))
+        kempe_adjacency_probe(cycle_power(5, 1), 0, 1, 4, (0, 1, 2, 1))
 
 
 def test_probe_rejects_a_long_coloring():
     with pytest.raises(ContractError, match="coloring has 6 entries, graph has 5 vertices"):
-        kempe_adjacency_probe(cycle_power(5, 1), 0, 1, 4, Coloring(2, (0, 1, 2, 1, 2, 1)))
+        kempe_adjacency_probe(cycle_power(5, 1), 0, 1, 4, (0, 1, 2, 1, 2, 1))
 
 
 def test_probe_contract_errors():
     c5 = cycle_power(5, 1)
     with pytest.raises(ContractError):  # two uncoloured vertices
-        kempe_adjacency_probe(c5, 0, 1, 4, Coloring(2, (0, 1, 2, 0, 2)))
+        kempe_adjacency_probe(c5, 0, 1, 4, (0, 1, 2, 0, 2))
     with pytest.raises(ContractError):  # probed pair shares a colour
-        kempe_adjacency_probe(c5, 0, 1, 4, Coloring(2, (0, 1, 2, 1, 1)))
+        kempe_adjacency_probe(c5, 0, 1, 4, (0, 1, 2, 1, 1))
     g = k_n(4)
     with pytest.raises(ContractError):  # colour reappears on another neighbour
-        kempe_adjacency_probe(g, 3, 0, 1, Coloring(3, (1, 2, 1, 0)))
+        kempe_adjacency_probe(g, 3, 0, 1, (1, 2, 1, 0))
 
 
 # --- degree-deficient probe --------------------------------------------------------
@@ -207,7 +206,7 @@ def test_neighborhood_split_raises_when_a_component_misses_the_pair():
     # a fabricated coloring of C10^2 - 0: the pair A = {1, 2} shares colour 1,
     # and the 1-2 component of B-vertex 8 is {8} alone
     g = cycle_power(10, 2)
-    phi = Coloring(3, (0, 1, 1, 3, 3, 3, 3, 3, 2, 3))
+    phi = (0, 1, 1, 3, 3, 3, 3, 3, 2, 3)
     with pytest.raises(ContractError, match=r"component of 8 misses both of \(1, 2\)"):
         neighborhood_split(g, 0, phi)
 
@@ -215,7 +214,7 @@ def test_neighborhood_split_raises_when_a_component_misses_the_pair():
 def test_neighborhood_split_requires_regularity():
     with pytest.raises(ContractError):
         neighborhood_split(graph_from_edges(6, [(0, i) for i in range(1, 6)] + [(1, 2), (2, 3), (3, 4), (4, 5), (5, 1)]), 0,
-                           Coloring(3, (0, 1, 2, 1, 2, 3)))
+                           (0, 1, 2, 1, 2, 3))
 
 
 # The regular split sweep's inputs: every 4-critical C_n^2 the sweep reaches
@@ -241,9 +240,10 @@ def test_neighborhood_split_reuses_the_critical_scan_coloring(g):
     assert sorted(colorings) == list(range(g.n))
     for v in range(g.n):
         others = [u for u in range(g.n) if u != v]
-        assert colorings[v].k == delta - 1 and list(colorings[v].colored_vertices()) == others
-        assert is_proper(g, colorings[v])
-        assert colorings[v] == find_k_coloring(g, delta - 1, others)
+        phi = colorings[v]
+        assert set(phi) == set(range(delta)) and [u for u in range(g.n) if phi[u]] == others
+        assert is_proper(g, phi)
+        assert phi == find_k_coloring(g, delta - 1, others)
 
 
 def test_neighborhood_split_rejects_a_coloring_of_another_vertex():
@@ -251,8 +251,19 @@ def test_neighborhood_split_rejects_a_coloring_of_another_vertex():
     colorings = extract_vertex_critical(g, 4)[1]
     with pytest.raises(ContractError):
         neighborhood_split(g, 1, colorings[0])
-    with pytest.raises(ContractError):
-        neighborhood_split(g, 0, Coloring(4, colorings[0].colors))
+
+
+@pytest.mark.parametrize("color", [4, -1])
+@pytest.mark.parametrize("n", [13, 16, 19])
+def test_neighborhood_split_rejects_a_colour_outside_the_palette(n, color):
+    # the scan's coloring of C_n^2 - 0 with vertex 1 recoloured outside
+    # 1..3: still proper, but not a (max degree - 1)-coloring
+    g = cycle_power(n, 2)
+    phi = extract_vertex_critical(g, 4)[1][0]
+    phi = phi[:1] + (color,) + phi[2:]
+    assert is_proper(g, phi)
+    with pytest.raises(ContractError, match=r"not a \(3\)-coloring of g minus 0"):
+        neighborhood_split(g, 0, phi)
 
 
 def test_neighborhood_split_rejects_a_long_coloring():
@@ -260,7 +271,7 @@ def test_neighborhood_split_rejects_a_long_coloring():
     g = cycle_power(13, 2)
     phi = extract_vertex_critical(g, 4)[1][0]
     with pytest.raises(ContractError, match=r"not a \(3\)-coloring of g minus 0"):
-        neighborhood_split(g, 0, Coloring(3, phi.colors + (0,)))
+        neighborhood_split(g, 0, phi + (0,))
 
 
 # --- attachment count and path quad ---------------------------------------------------
@@ -540,7 +551,7 @@ def test_trace_inconsistent_on_squares_off_the_endgame(n):
 
 def test_sequence_three_coloring_examples():
     c9 = sequence_three_coloring(9)
-    assert c9.colors == (1, 2, 3, 1, 2, 3, 1, 2, 3)
+    assert c9 == (1, 2, 3, 1, 2, 3, 1, 2, 3)
     assert is_proper(cycle_power(9, 2), c9)
     assert is_proper(cycle_power(12, 2), sequence_three_coloring(12))
     with pytest.raises(ValueError):

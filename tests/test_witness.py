@@ -477,6 +477,23 @@ def test_trace_on_c7_complement():
     assert isinstance(out, SquaredCycleLabeling) and out.n == 7
 
 
+@pytest.mark.parametrize(
+    "g6,hole",
+    [
+        ("H@U^NRo", (5, 3, 2, 7, 0)),
+        ("LhEIHEPQHGaPaP", (5, 6, 7, 8, 0)),  # the circulant C13(1, 5)
+    ],
+)
+def test_trace_hands_on_the_hole_a_probe_closes(g6, hole):
+    # 4-regular and 4-critical, but not a squared cycle: a split probe closes
+    # a hole before the walk starts, and the trace returns it as find_witness does
+    g = decode_graph6(g6)
+    assert min_degree(g) == max_degree(g) == 4
+    want = HighOddHoleWitness(hole)
+    assert _trace(g) == want
+    assert find_witness(g) == want
+
+
 def test_trace_fails_cleanly_off_family():
     # 4-regular, but not a squared cycle: the 4-dimensional hypercube
     edges = [

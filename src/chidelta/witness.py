@@ -13,7 +13,6 @@ which is recognised explicitly.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 from typing import Sequence
 
 from .certificate import (
@@ -35,38 +34,6 @@ log = logging.getLogger(__name__)
 
 class ContractError(ValueError):
     """An input violated a precondition of the certificate search."""
-
-
-@dataclass(frozen=True)
-class NeighborhoodSplit:
-    """Partition of N(center) into the non-adjacent pair A and the clique B.
-
-    A carries the one duplicated colour of a (max degree - 1)-coloring of the
-    graph minus `center`; B is everything else, certified pairwise adjacent
-    with every member attached to at least one vertex of A.
-    """
-
-    center: int
-    a: tuple[int, int]
-    b: frozenset[int]
-
-
-@dataclass(frozen=True)
-class PathQuad:
-    """Four neighbours of a centre inducing exactly the path a1-b1-b2-a2."""
-
-    a1: int
-    b1: int
-    b2: int
-    a2: int
-
-
-@dataclass(frozen=True)
-class SquaredCycleLabeling:
-    """Bijection cyclic position -> vertex with adjacency iff distance <= 2."""
-
-    n: int
-    vertex_at: tuple[int, ...]
 
 
 def kempe_adjacency_probe(
@@ -121,7 +88,7 @@ def _probe_pairs(
     return None
 
 
-def degree_deficient_probe(h: Graph, v: int) -> Certificate:
+def degree_deficient_probe(h: Graph, v: int) -> CliqueWitness | HighOddHoleWitness:
     """Certificate at a vertex of degree one below the maximum.
 
     Colours h - v with max_degree(h) - 1 colours; since the coloring cannot
@@ -149,19 +116,20 @@ def degree_deficient_probe(h: Graph, v: int) -> Certificate:
 
 def neighborhood_split(
     g: Graph, v: int, phi: Coloring
-) -> NeighborhoodSplit | HighOddHoleWitness:
-    """Split N(v) of a regular graph into the duplicated-colour pair and a clique.
+) -> tuple[tuple[int, int], frozenset[int]] | HighOddHoleWitness:
+    """Split N(v) of a regular graph into (A, B): the sorted pair A, the clique B.
 
     `phi` is a (max degree - 1)-coloring of exactly g - v, the one the
     critical scan found when it kept v; any other coloring, a colour
-    outside 1..max degree - 1 included, is a ContractError naming v.  Exactly one colour must repeat among the
-    neighbours (pigeonhole, provided every colour shows up); the repeated
-    pair A is non-adjacent by properness.  Pairs inside B = N(v) - A are
-    certified adjacent by the Kempe probe, and each B-vertex is attached to
-    A via its two-colour component towards A: a single-edge path certifies
-    attachment, a longer path closes an odd hole through v, and a missing
-    path means the coloring could be rearranged to extend, which raises
-    ContractError, as does a colour missing around v.
+    outside 1..max degree - 1 included, is a ContractError naming v.
+    Exactly one colour must repeat among the neighbours (pigeonhole,
+    provided every colour shows up); the repeated pair A is non-adjacent by
+    properness.  Pairs inside B = N(v) - A are certified adjacent by the
+    Kempe probe, and each B-vertex is attached to A via its two-colour
+    component towards A: a single-edge path certifies attachment, a longer
+    path closes an odd hole through v, returned instead of the split, and a
+    missing path means the coloring could be rearranged to extend, which
+    raises ContractError, as does a colour missing around v.
     """
     delta = max_degree(g)
     if delta < 4:
@@ -190,30 +158,28 @@ def neighborhood_split(
             raise ContractError(f"component of {b} misses both of {a_pair}; the coloring extends")
         if len(path) > 2:
             return HighOddHoleWitness(tuple(path) + (v,))
-    return NeighborhoodSplit(v, (a_pair[0], a_pair[1]), frozenset(b_set))
+    return a_pair, frozenset(b_set)
 
 
 def split_attachment_check(
-    g: Graph, split: NeighborhoodSplit, a: int
-) -> CliqueWitness | None:
-    """The clique the A-vertex `a` closes by seeing all of B, or None.
+    g: Graph, split: tuple[tuple[int, int], frozenset[int]], a: int
+) -> None:
+    """Check that the A-vertex `a` of the split (A, B) sees all of B but one.
 
-    Full attachment closes a clique of size max_degree on B + {a, center},
-    returned unverified; the only other count a valid instance allows is
-    |B| - 1, which gives None.  Any other count means an earlier probe
-    should have fired, and raises ContractError.
+    Any count but |B| - 1 = d - 3, d the max degree, raises ContractError;
+    a smaller one means an earlier probe should have fired.  Full
+    attachment, d - 2, would close a clique K of size d on B + {a, centre},
+    but the split sweep runs only on a d-regular vertex-critical g.  K is
+    not d-regular, so it is a proper subgraph, and its chromatic number d
+    equals that of g, which contradicts vertex-criticality.
     """
-    if a not in split.a:
+    a_pair, b = split
+    if a not in a_pair:
         raise ContractError(f"vertex {a} is not in the split's A pair")
-    count = (g.adjacency_mask(a) & _mask(split.b)).bit_count()
+    count = (g.adjacency_mask(a) & _mask(b)).bit_count()
     delta = max_degree(g)
-    if count == delta - 2:
-        return CliqueWitness(split.b | {a, split.center})
     if count != delta - 3:
-        raise ContractError(
-            f"vertex {a} has {count} neighbours in B, expected {delta - 3} or {delta - 2}"
-        )
-    return None
+        raise ContractError(f"vertex {a} has {count} neighbours in B, expected {delta - 3}")
 
 
 def _mask(verts) -> int:
@@ -223,17 +189,19 @@ def _mask(verts) -> int:
     return m
 
 
-def path_quad(g: Graph, split: NeighborhoodSplit) -> PathQuad:
-    """The induced 4-path a1-b1-b2-a2 among the centre's neighbours.
+def path_quad(
+    g: Graph, split: tuple[tuple[int, int], frozenset[int]]
+) -> tuple[int, int, int, int]:
+    """The induced path (a1, b1, b2, a2) among the centre's neighbours.
 
-    b2 is the unique B-vertex missed by a1 and b1 the unique one missed by
-    a2; together with A's non-adjacency and B's cliqueness the four vertices
-    induce exactly a path.  Every condition is re-checked, and a failed one
-    raises ContractError.
+    (a1, a2) is the split's A pair, b2 the unique B-vertex missed by a1 and
+    b1 the unique one missed by a2; together with A's non-adjacency and B's
+    cliqueness the four vertices induce exactly that path.  Every condition
+    is re-checked, and a failed one raises ContractError.
     """
-    a1, a2 = split.a
-    missed1 = sorted(split.b - set(g.neighbors(a1)))
-    missed2 = sorted(split.b - set(g.neighbors(a2)))
+    (a1, a2), b = split
+    missed1 = sorted(b - set(g.neighbors(a1)))
+    missed2 = sorted(b - set(g.neighbors(a2)))
     if len(missed1) != 1 or len(missed2) != 1:
         raise ContractError(
             f"A-vertices miss {len(missed1)} and {len(missed2)} B-vertices, expected 1 and 1"
@@ -250,47 +218,45 @@ def path_quad(g: Graph, split: NeighborhoodSplit) -> PathQuad:
             expected = (u, w) in want or (w, u) in want
             if present != expected:
                 raise ContractError(f"induced structure on {quad} is not the expected path")
-    return PathQuad(a1, b1, b2, a2)
+    return quad
 
 
 def _quads(
     g: Graph, colorings: dict[int, Coloring]
-) -> dict[int, PathQuad] | Certificate:
+) -> dict[int, tuple[int, int, int, int]] | HighOddHoleWitness:
     # The path quad at every vertex, in vertex order: split, both attachment
-    # checks, then the quad.  The first certificate ends it.  `colorings`
-    # holds the critical scan's coloring of g - v for every v.
-    quads: dict[int, PathQuad] = {}
+    # checks, then the quad.  The first hole ends it.  `colorings` holds the
+    # critical scan's coloring of g - v for every v.
+    quads: dict[int, tuple[int, int, int, int]] = {}
     for v in range(g.n):
         if v not in colorings:
             raise ContractError(f"the critical scan stored no coloring of g minus {v}")
         split = neighborhood_split(g, v, colorings[v])
-        if not isinstance(split, NeighborhoodSplit):
+        if isinstance(split, HighOddHoleWitness):
             return split
-        for a in split.a:
-            clique = split_attachment_check(g, split, a)
-            if clique is not None:
-                return clique
+        for a in split[0]:
+            split_attachment_check(g, split, a)
         quads[v] = path_quad(g, split)
     return quads
 
 
 def trace_squared_cycle(
     g: Graph, colorings: dict[int, Coloring]
-) -> SquaredCycleLabeling | Certificate:
+) -> tuple[int, ...] | HighOddHoleWitness:
     """Label a 4-regular graph as the square of a cycle, or fail trying.
 
     First computes the path quad at every vertex, in vertex order; the first
-    certificate met on the way is returned, and the first contradiction
+    hole a split closes on the way is returned, and the first contradiction
     raises ContractError.  Then walks one vertex per step from vertex 0 to
     the B-vertex b1 of its quad: each next vertex is the B-vertex of the
     current vertex's quad that is not the previous one.  The walk must visit
     every vertex exactly once, and every vertex's neighbourhood must then be
     that of its walk position in the square of the n-cycle; a failed check
-    raises ContractError.  The result is the walk itself, the only such
-    labeling with vertex 0 at position 0 and b1 at position 1.  `colorings`
-    must hold, for every v, the 3-coloring of g - v that
-    `extract_vertex_critical` returned; a missing one is a ContractError
-    naming v.
+    raises ContractError.  The result is the walk itself, the vertex at each
+    position: the only such labeling with vertex 0 at position 0 and b1 at
+    position 1.  `colorings` must hold, for every v, the 3-coloring of g - v
+    that `extract_vertex_critical` returned; a missing one is a
+    ContractError naming v.
     """
     if g.n == 0 or not is_connected(g):
         raise ContractError("graph must be connected and nonempty")
@@ -298,19 +264,19 @@ def trace_squared_cycle(
         raise ContractError("graph is not 4-regular")
     n = g.n
     quads = _quads(g, colorings)
-    if not isinstance(quads, dict):
+    if isinstance(quads, HighOddHoleWitness):
         return quads
-    walk = [0, quads[0].b1]
+    walk = [0, quads[0][1]]
     while len(walk) < n:
-        quad = quads[walk[-1]]
-        walk.append(quad.b2 if quad.b1 == walk[-2] else quad.b1)
+        _, b1, b2, _ = quads[walk[-1]]
+        walk.append(b2 if b1 == walk[-2] else b1)
     if len(set(walk)) != n:
         raise ContractError("walk along the quads revisits a vertex before closing")
     square = cycle_power(n, 2)
     for p, u in enumerate(walk):
         if g.adjacency_mask(u) != _mask(walk[w] for w in square.neighbors(p)):
             raise ContractError(f"neighbours of {u} disagree with its position {p}")
-    return SquaredCycleLabeling(n, tuple(walk))
+    return tuple(walk)
 
 
 def squared_cycle_hole(n: int) -> tuple[int, ...]:
@@ -359,12 +325,12 @@ def _shortest_odd_hole(g: Graph) -> tuple[int, ...] | None:
     return best
 
 
-def _lift(cert: Certificate, new_to_old: list[int]) -> Certificate:
+def _lift(
+    cert: CliqueWitness | HighOddHoleWitness, new_to_old: list[int]
+) -> CliqueWitness | HighOddHoleWitness:
     if isinstance(cert, CliqueWitness):
         return CliqueWitness(frozenset(new_to_old[v] for v in cert.vertices))
-    if isinstance(cert, HighOddHoleWitness):
-        return HighOddHoleWitness(tuple(new_to_old[v] for v in cert.cycle))
-    raise ContractError(f"cannot relabel certificate of type {type(cert).__name__}")
+    return HighOddHoleWitness(tuple(new_to_old[v] for v in cert.cycle))
 
 
 def find_witness(g: Graph) -> Certificate:
@@ -379,13 +345,15 @@ def find_witness(g: Graph) -> Certificate:
     it must be complete; otherwise vertices of deficient degree are probed
     directly.  A regular critical subgraph (necessarily the whole graph) gets
     the path quad at every vertex, in vertex order: neighbourhood split, both
-    attachment checks and the quad, where the first certificate wins.  Each
-    split requires the coloring of g - v that the critical scan found when
-    it kept v, so no g - v is coloured twice; on this branch the scan
-    deleted nothing and no trial set peeled, so it stored one for every v.
-    At degree 4 that sweep is the first half of `trace_squared_cycle`, whose
-    labeling then yields the explicit hole (or the complement of C7); at
-    degree >= 5 a silent sweep falls back to the brute-force oracle.
+    attachment checks and the quad, where the first hole a split closes
+    wins.  Each split requires the coloring of g - v that the critical scan
+    found when it kept v, so no g - v is coloured twice; on this branch the
+    scan deleted nothing and no trial set peeled, so it stored one for
+    every v.  At degree 4 that sweep is the first half of
+    `trace_squared_cycle`, whose walk, the vertex at each position of the
+    squared cycle, then yields the explicit hole (or the complement of C7),
+    unless a split already closed one; at degree >= 5 a silent sweep falls
+    back to the brute-force oracle.
 
     The proof route's one check: the certificate is verified against g before
     it is returned, and a rejection raises ContractError.
@@ -407,8 +375,6 @@ def _derive_witness(g: Graph) -> Certificate:
     chi = chromatic_number(g)
     if chi != delta:
         raise ContractError(f"chromatic number {chi} != max degree {delta}")
-    if delta <= 1:
-        raise ContractError(f"degenerate instance with max degree {delta}")
     if delta == 2:
         return CliqueWitness(find_clique(g, 2))
     if delta == 3:
@@ -444,7 +410,7 @@ def _derive_witness(g: Graph) -> Certificate:
         )
     if delta >= 5:
         quads = _quads(g, colorings)
-        if not isinstance(quads, dict):
+        if isinstance(quads, HighOddHoleWitness):
             return quads
         log.warning(
             "probe sweep finished without a certificate at max degree %d; "
@@ -455,10 +421,10 @@ def _derive_witness(g: Graph) -> Certificate:
         if cert is None:
             raise ContractError("oracle found no certificate after a silent sweep")
         return cert
-    traced = trace_squared_cycle(g, colorings)
-    if not isinstance(traced, SquaredCycleLabeling):
-        return traced
-    m = traced.n
+    walk = trace_squared_cycle(g, colorings)
+    if isinstance(walk, HighOddHoleWitness):
+        return walk
+    m = len(walk)
     if m == 7:
         positions = is_c7_complement(g)
         if positions is None:
@@ -466,4 +432,4 @@ def _derive_witness(g: Graph) -> Certificate:
         return ExceptionalC7Complement(positions)
     if m % 3 != 1:
         raise ContractError(f"squared cycle of length {m} is not 4-critical")
-    return HighOddHoleWitness(tuple(traced.vertex_at[p] for p in squared_cycle_hole(m)))
+    return HighOddHoleWitness(tuple(walk[p] for p in squared_cycle_hole(m)))

@@ -29,9 +29,6 @@ from chidelta.graph import (
 from chidelta.oracle import oracle_witness
 from chidelta.witness import (
     ContractError,
-    NeighborhoodSplit,
-    PathQuad,
-    SquaredCycleLabeling,
     degree_deficient_probe,
     find_witness,
     kempe_adjacency_probe,
@@ -179,8 +176,7 @@ def exhaustive_splits(g, v):
 def test_neighborhood_split_on_squared_cycles(n, v, want_a, want_b):
     g = cycle_power(n, 2)
     out = _split(g, v)
-    assert isinstance(out, NeighborhoodSplit)
-    assert out.a == want_a and out.b == want_b
+    assert out == (want_a, frozenset(want_b))
     # the expected split is the unique structurally valid one
     assert exhaustive_splits(g, v) == [(want_a, frozenset(want_b))]
 
@@ -188,12 +184,13 @@ def test_neighborhood_split_on_squared_cycles(n, v, want_a, want_b):
 def test_neighborhood_split_invariants():
     g = c7_complement()
     out = _split(g, 0)
-    assert isinstance(out, NeighborhoodSplit)
-    a1, a2 = out.a
-    assert not g.has_edge(a1, a2)
-    assert all(g.has_edge(x, y) for x, y in itertools.combinations(sorted(out.b), 2))
-    assert all(g.has_edge(b, a1) or g.has_edge(b, a2) for b in out.b)
-    assert {a1, a2} | out.b == set(g.neighbors(0))
+    assert not isinstance(out, HighOddHoleWitness)
+    (a1, a2), b = out
+    assert a1 < a2 and not g.has_edge(a1, a2)
+    assert isinstance(b, frozenset)
+    assert all(g.has_edge(x, y) for x, y in itertools.combinations(sorted(b), 2))
+    assert all(g.has_edge(u, a1) or g.has_edge(u, a2) for u in b)
+    assert {a1, a2} | b == set(g.neighbors(0))
 
 
 def test_neighborhood_split_inconsistent_on_three_chromatic():
@@ -280,7 +277,7 @@ def test_neighborhood_split_rejects_a_long_coloring():
 def test_split_attachment_counts():
     g10 = cycle_power(10, 2)
     s10 = _split(g10, 0)
-    # each A-vertex sees |B| - 1 = 1 of B: no clique, and no contradiction
+    # each A-vertex sees |B| - 1 = 1 of B: no contradiction
     assert split_attachment_check(g10, s10, 2) is None
     assert split_attachment_check(g10, s10, 8) is None
     g7 = cycle_power(7, 2)
@@ -290,19 +287,18 @@ def test_split_attachment_counts():
 
 def test_split_attachment_rejects_a_wrong_count():
     # a fabricated split of C10^2 at 0 whose A-vertex 2 sees none of B
-    fake = NeighborhoodSplit(0, (2, 8), frozenset({5, 6}))
-    with pytest.raises(ContractError, match="vertex 2 has 0 neighbours in B, expected 1 or 2"):
+    fake = ((2, 8), frozenset({5, 6}))
+    with pytest.raises(ContractError, match="vertex 2 has 0 neighbours in B, expected 1$"):
         split_attachment_check(cycle_power(10, 2), fake, 2)
 
 
-def test_split_attachment_full_closes_clique():
+def test_split_attachment_rejects_full_attachment():
     # K5 plus a pendant at vertex 1; a fabricated split whose A-vertex 1 sees
-    # all of B closes the size-5 clique
-    fake = NeighborhoodSplit(0, (1, 5), frozenset({2, 3, 4}))
+    # all of B would close a K5, which no regular vertex-critical graph holds
+    fake = ((1, 5), frozenset({2, 3, 4}))
     g = graph_from_edges(6, [(i, j) for i in range(5) for j in range(i + 1, 5)] + [(1, 5)])
-    out = split_attachment_check(g, fake, 1)
-    assert out == CliqueWitness(frozenset({0, 1, 2, 3, 4}))
-    assert verify_certificate(g, out).ok
+    with pytest.raises(ContractError, match="vertex 1 has 3 neighbours in B, expected 2$"):
+        split_attachment_check(g, fake, 1)
 
 
 def test_split_attachment_rejects_foreign_vertex():
@@ -320,7 +316,7 @@ def test_path_quads_on_squared_cycles(n, quad):
     g = cycle_power(n, 2)
     split = _split(g, 0)
     out = path_quad(g, split)
-    assert out == PathQuad(*quad)
+    assert out == quad
     a1, b1, b2, a2 = quad
     assert g.has_edge(a1, b1) and g.has_edge(b1, b2) and g.has_edge(b2, a2)
     assert not g.has_edge(a1, b2) and not g.has_edge(b1, a2) and not g.has_edge(a1, a2)
@@ -337,7 +333,7 @@ def test_path_quads_on_squared_cycles(n, quad):
 def test_path_quad_rejects_fabricated_splits(a, b, reason):
     # splits of C10^2 at 0 that no valid instance yields
     with pytest.raises(ContractError, match=reason):
-        path_quad(cycle_power(10, 2), NeighborhoodSplit(0, a, frozenset(b)))
+        path_quad(cycle_power(10, 2), (a, frozenset(b)))
 
 
 # --- squared-cycle trace ---------------------------------------------------------------
@@ -357,9 +353,8 @@ def test_trace_labels_squared_cycles(n):
         with pytest.raises(ContractError, match="colour 3 is unused around 0; the coloring extends"):
             _trace(g)
         return
-    out = _trace(g)
-    assert isinstance(out, SquaredCycleLabeling) and out.n == n
-    at = out.vertex_at
+    at = _trace(g)
+    assert isinstance(at, tuple) and len(at) == n
     assert sorted(at) == list(range(n))
     for p in range(n):
         for q in range(p + 1, n):
@@ -466,15 +461,15 @@ def _relabelled_square(n, copy):
     ],
 )
 def test_trace_and_witness_pinned_on_relabelled_squares(n, copy, position, cert):
-    # `position` pins each vertex's place; the labeling holds its inverse
+    # `position` pins each vertex's place; the walk holds its inverse
     g = _relabelled_square(n, copy)
-    assert _trace(g) == SquaredCycleLabeling(n, tuple(sorted(range(n), key=position.__getitem__)))
+    assert _trace(g) == tuple(sorted(range(n), key=position.__getitem__))
     assert find_witness(g) == cert
 
 
 def test_trace_on_c7_complement():
     out = _trace(c7_complement())
-    assert isinstance(out, SquaredCycleLabeling) and out.n == 7
+    assert isinstance(out, tuple) and len(out) == 7
 
 
 @pytest.mark.parametrize(

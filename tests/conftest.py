@@ -5,7 +5,9 @@ graph6 reference codec, chromatic number by honest enumeration of all
 assignments, and networkx for isomorphism and codec cross-checks.  The
 properness check, the Kempe swap and the residue-class colourings of squared
 cycles are facts the tests check about the proof's setting; no route of the
-program needs them.
+program needs them.  `per_trial_critical_scan` is the critical scan with one
+fresh colouring search per trial, and `CountingGraph` counts the neighbour
+reads a search makes, so the tests can hold the scan to both.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Iterable
 import networkx as nx
 import pytest
 
-from chidelta.coloring import Coloring
+from chidelta.coloring import Coloring, _greedy_clique, find_k_coloring
 from chidelta.graph import Graph, complement, cycle_power, graph_from_edges
 
 
@@ -161,3 +163,61 @@ def forced_coloring_conflict(n: int) -> ConflictReport:
         if forced[u] == forced[w]:
             return ConflictReport(n, (u, w), forced[u], tuple(forced))
     raise AssertionError(f"propagation closed without conflict at n={n}")
+
+
+class CountingGraph(Graph):
+    """A copy of a graph that counts its `neighbors` reads.
+
+    The colouring search reads a vertex's neighbours exactly once per paint
+    and once per unpaint, and peeling and the clique bound read bitmasks
+    only, so `reads` measures the search work done on the graph.
+    """
+
+    __slots__ = ("reads",)
+
+    def __init__(self, g: Graph):
+        super().__init__(g.n, (g.adjacency_mask(v) for v in range(g.n)))
+        self.reads = 0
+
+    def neighbors(self, v: int) -> tuple[int, ...]:
+        self.reads += 1
+        return Graph.neighbors(self, v)
+
+
+def per_trial_critical_scan(g: Graph, chi: int) -> tuple[frozenset[int], dict[int, Coloring]]:
+    """`extract_vertex_critical` with one fresh search per trial.
+
+    Each trial set is peeled to its (chi - 1)-core, a greedy clique of more
+    than chi - 1 vertices refutes the core, and otherwise
+    `find_k_coloring` searches the core from scratch.  A trial's colouring
+    is kept when nothing peeled.
+    """
+    k = chi - 1
+    keep = list(range(g.n))
+    colorings: dict[int, Coloring] = {}
+    for v in range(g.n):
+        trial = [u for u in keep if u != v]
+        if not trial:
+            continue
+        inside = sum(1 << u for u in trial)
+        while True:
+            low = [
+                u for u in trial
+                if inside >> u & 1 and (g.adjacency_mask(u) & inside).bit_count() < k
+            ]
+            if not low:
+                break
+            for u in low:
+                inside ^= 1 << u
+        core = [u for u in trial if inside >> u & 1]
+        if not core:
+            phi = (0,) * g.n
+        elif len(_greedy_clique(g, core)) > k:
+            phi = None
+        else:
+            phi = find_k_coloring(g, k, core)
+        if phi is None:
+            keep = trial
+        elif len(core) == len(trial):
+            colorings[v] = phi
+    return frozenset(keep), colorings

@@ -525,6 +525,12 @@ def test_squared_cycle_hole_pinned_examples():
             assert not g10.has_edge(cyc[i], cyc[j])
 
 
+@pytest.mark.parametrize("n", [100, 199, 400])
+def test_find_witness_on_squared_cycles_beyond_graph6(n):
+    # graph6 carries at most 62 vertices, so the golden file cannot pin these
+    assert find_witness(cycle_power(n, 2)) == HighOddHoleWitness(squared_cycle_hole(n))
+
+
 @pytest.mark.parametrize("n", [n for n in range(8, 62) if n % 3 == 2])
 def test_squared_cycle_hole_two_mod_three(n):
     # these squares are not vertex-critical, so the endgame never reaches them

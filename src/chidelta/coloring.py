@@ -5,14 +5,18 @@ and 0 means v is uncoloured.  The solver is exact branch-and-bound with
 saturation-degree ordering (DSatur) and a deterministic branching rule, so
 every colouring it hands out is reproducible for a fixed graph labeling.  It
 keeps each vertex's saturation incrementally, touching only the neighbours of
-the vertex it paints or unpaints, and backtracks over an explicit stack, so
-search depth is not bounded by the interpreter's recursion limit.  A Kempe
-chain, a two-colour component of a proper partial colouring, is the frozenset
-of its vertices.
+the vertex it paints or unpaints, and backtracks over an explicit stack of
+(vertex, colour, colours used before it) frames, so search depth is not
+bounded by the interpreter's recursion limit.  A search in progress is plain
+data that can be copied and resumed: the critical-subgraph scan runs one
+search on its kept set and resumes each trial G - v from where that search
+first reached v.  A Kempe chain, a two-colour component of a proper partial
+colouring, is the frozenset of its vertices.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from typing import Iterable
 
 from .graph import Graph
@@ -31,21 +35,38 @@ def find_k_coloring(g: Graph, k: int, on: Iterable[int] | None = None) -> Colori
     they give are updated only over the neighbours of the vertex being painted
     or unpainted, so selection is one pass over the uncoloured vertices with
     no recounting.  Backtracking runs over an explicit stack of
-    (vertex, its index among the uncoloured, colour, colours used before it)
-    frames, not recursion.
+    (vertex, colour, colours used before it) frames, not recursion, and puts
+    a vertex that runs out of colours back among the uncoloured by value.
     """
     if k < 1:
         raise ValueError("palette size must be at least 1")
-    free = _vertex_list(g, on)
+    return _search(g, k, _start(g, k, _vertex_list(g, on)))
+
+
+# A search in progress: the uncoloured vertices still to select (ascending),
+# each vertex's colour, seen[u * (k + 1) + c] (the neighbours of u coloured
+# c), each vertex's saturation, and the stack of (vertex, colour, colours
+# used before it) frames.
+_Run = tuple[list[int], list[int], list[int], list[int], list[tuple[int, int, int]]]
+
+
+def _start(g: Graph, k: int, free: list[int]) -> _Run:
+    # The search on the distinct ascending `free` before its first step.
+    return free, [0] * g.n, [0] * (g.n * (k + 1)), [0] * g.n, []
+
+
+def _search(g: Graph, k: int, run: _Run, pause: bytearray | None = None) -> Coloring | int | None:
+    # Run the search from the state `run` holds, updating it in place, to a
+    # colouring of its vertices or None.  With `pause` given, stop instead
+    # just before a vertex u with pause[u] set is selected: clear pause[u]
+    # and return u, leaving `run` where a later call resumes it.  Every
+    # search, fresh or resumed, is this one loop.
+    free, colors, seen, sat, stack = run
     if not free:
-        return (0,) * g.n
+        return tuple(colors)
     nbrs = g.neighbors
     stride = k + 1
-    colors = [0] * g.n
-    seen = [0] * (g.n * stride)  # seen[u * stride + c]: neighbours of u coloured c
-    sat = [0] * g.n  # distinct colours among u's coloured neighbours
-    stack: list[tuple[int, int, int, int]] = []  # (vertex, index in free, colour, used before)
-    used = 0  # highest colour in use
+    used = max(stack[-1][1:]) if stack else 0  # highest colour in use
     c = 0  # colour last tried at v; 0 means select a new v
     while True:
         if c == 0:
@@ -58,7 +79,11 @@ def find_k_coloring(g: Graph, k: int, on: Iterable[int] | None = None) -> Colori
                     best, i = s, j
                     if s == used:
                         break
-            v = free.pop(i)
+            v = free[i]
+            if pause is not None and pause[v]:
+                pause[v] = 0
+                return v
+            del free[i]
         # next colour above c not seen next to v, at most one fresh colour
         base = v * stride
         top = k if used >= k else used + 1
@@ -72,7 +97,7 @@ def find_k_coloring(g: Graph, k: int, on: Iterable[int] | None = None) -> Colori
                 if not seen[j]:
                     sat[u] += 1
                 seen[j] += 1
-            stack.append((v, i, c, used))
+            stack.append((v, c, used))
             if not free:
                 return tuple(colors)
             if c > used:
@@ -80,10 +105,10 @@ def find_k_coloring(g: Graph, k: int, on: Iterable[int] | None = None) -> Colori
             c = 0
             continue
         # no colour left for v: put it back and move the previous vertex on
-        free.insert(i, v)
+        insort(free, v)
         if not stack:
             return None
-        v, i, c, used = stack.pop()
+        v, c, used = stack.pop()
         colors[v] = 0
         for u in nbrs(v):
             j = u * stride + c
@@ -138,17 +163,11 @@ def _greedy_clique(g: Graph, verts: list[int]) -> list[int]:
     return clique
 
 
-def _core_coloring(g: Graph, k: int, verts: list[int]) -> tuple[list[int], Coloring | None]:
+def _peel(g: Graph, k: int, verts: list[int]) -> list[int]:
     # The k-core of the subgraph induced by the distinct ascending `verts`,
-    # and a k-coloring of it, or None when `verts` has no k-coloring.  A
-    # vertex with fewer than k neighbours can always be coloured last, so
-    # peel such vertices until none is left: the rest is the k-core, which
-    # is k-colourable exactly when `verts` is.  A greedy clique of more than k
-    # vertices lies inside the core and settles it without a search.  The
-    # clique only cuts short a search that would return None, so it never
-    # changes the coloring returned.  An empty core gets the empty coloring
-    # `find_k_coloring(g, k, [])` would return, without the clique or the
-    # search.
+    # ascending.  A vertex with fewer than k neighbours can always be
+    # coloured last, so peel such vertices until none is left: the rest is
+    # k-colourable exactly when `verts` is.
     adj = g.adjacency_mask
     inside = 0
     for v in verts:
@@ -162,13 +181,18 @@ def _core_coloring(g: Graph, k: int, verts: list[int]) -> tuple[list[int], Color
             else:
                 inside ^= 1 << v
         if len(left) == len(core):
-            break
+            return core
         core = left
+
+
+def _colorable(g: Graph, k: int, verts: list[int]) -> bool:
+    # Whether the distinct ascending `verts` have a k-coloring: an empty
+    # k-core is coloured at once, a greedy clique of more than k vertices
+    # refutes the core, and otherwise one exact search on the core decides.
+    core = _peel(g, k, verts)
     if not core:
-        return core, (0,) * g.n
-    if len(_greedy_clique(g, core)) > k:
-        return core, None
-    return core, find_k_coloring(g, k, core)
+        return True
+    return len(_greedy_clique(g, core)) <= k and _search(g, k, _start(g, k, core)) is not None
 
 
 def is_k_colorable(g: Graph, k: int, on: Iterable[int] | None = None) -> bool:
@@ -176,12 +200,13 @@ def is_k_colorable(g: Graph, k: int, on: Iterable[int] | None = None) -> bool:
 
     The same answer as `find_k_coloring(g, k, on) is not None`, decided with
     as little search as possible: peel vertices with fewer than k neighbours
-    in the set down to its k-core, bound by a greedy clique of the core,
-    then one exact search on the core.
+    in the set down to its k-core; an empty core is coloured at once, a
+    greedy clique of more than k vertices refutes the core, and otherwise
+    one exact search on the core decides.
     """
     if k < 1:
         raise ValueError("palette size must be at least 1")
-    return _core_coloring(g, k, _vertex_list(g, on))[1] is not None
+    return _colorable(g, k, _vertex_list(g, on))
 
 
 def chromatic_number(g: Graph) -> int:
@@ -194,7 +219,7 @@ def chromatic_number(g: Graph) -> int:
         raise ValueError("chromatic number of the empty graph")
     verts = list(range(g.n))
     k = len(_greedy_clique(g, verts))
-    while _core_coloring(g, k, verts)[1] is None:
+    while not _colorable(g, k, verts):
         k += 1
     return k
 
@@ -261,10 +286,13 @@ def extract_vertex_critical(g: Graph, chi: int) -> tuple[frozenset[int], dict[in
     already; then one scan in ascending vertex order deletes every vertex
     whose removal keeps chi.  Deleting vertices never raises chi, so v can
     go exactly when the remaining vertices admit no (chi - 1)-coloring.
-    `_core_coloring` decides that as `is_k_colorable` does: peel to the
-    (chi - 1)-core, bound by a greedy clique, then one exact search on the
-    core.  One pass suffices: a vertex found necessary in a superset stays
-    necessary in every later subset, so a rescan would delete nothing.
+    That is decided as `is_k_colorable` decides it: peel to the
+    (chi - 1)-core; an empty core is coloured at once, a greedy clique of
+    more than chi - 1 vertices refutes the core, and otherwise one exact
+    search on the core decides.  The clique only cuts short a search that
+    would return None, so it never changes a coloring returned.  One pass
+    suffices: a vertex found necessary in a superset stays necessary in
+    every later subset, so a rescan would delete nothing.
 
     A kept vertex v is kept because the other remaining vertices have a
     (chi - 1)-coloring.  When peeling removed none of them, that coloring
@@ -274,18 +302,68 @@ def extract_vertex_critical(g: Graph, chi: int) -> tuple[frozenset[int], dict[in
     nothing from a chi-regular g, no trial set peels either (each of its
     vertices keeps at least chi - 1 neighbours), so the coloring of g - v is
     returned for every v: the regular branch of the proof route relies on it.
+
+    The searches of the trials where nothing peels share one run, and every
+    coloring stays the one a fresh search gives.  The search selects only
+    among the uncoloured vertices of its own set, ties go to the lowest id,
+    and an uncoloured vertex adds to no saturation.  So the search on
+    keep - v makes exactly the selections, paints and backtracks of the
+    search on keep up to the moment that search first selects v.  The scan
+    runs the search on keep only as far as the current trial needs, and
+    copies its state just before each later trial's vertex is first
+    selected.  Trial v resumes from its copy with v removed, which is step
+    for step the fresh search on keep - v, and the copy is dropped.  If the
+    run on keep ends without selecting v, the search on keep - v is that
+    same run, so v goes.  A deletion changes keep and discards the run.
+    The first such trial on each kept set searches afresh, and the run
+    starts only once it has kept its vertex: on small graphs, a run whose
+    first trial already deletes costs more in copies than it shares.
     """
     if g.n == 0:
         raise ValueError("empty graph")
+    k = chi - 1
     keep = list(range(g.n))
     colorings: dict[int, Coloring] = {}
+    shared = False  # an unpeeled trial on `keep` kept its vertex
+    run = None  # the search on `keep`, advanced lazily
+    saved: dict[int, _Run] = {}  # its state just before u's first selection
     for v in range(g.n):
         trial = [u for u in keep if u != v]
         if not trial:
             continue
-        core, phi = _core_coloring(g, chi - 1, trial)
+        core = _peel(g, k, trial)
+        if not core:
+            phi = (0,) * g.n
+        elif len(_greedy_clique(g, core)) > k:
+            phi = None
+        elif len(core) < len(trial) or not shared:
+            phi = _search(g, k, _start(g, k, core))
+        else:
+            if run is None:
+                run = _start(g, k, keep[:])
+                pending = bytearray(v) + b"\1" * (g.n - v)  # trials still to come
+            while v not in saved:
+                u = _search(g, k, run, pending)
+                if type(u) is not int:
+                    break  # the run ended without selecting v
+                free, colors, seen, sat, stack = run
+                saved[u] = (free[:], colors[:], seen[:], sat[:], stack[:])
+            state = saved.pop(v, None)
+            if state is None:
+                phi = None
+            else:
+                state[0].remove(v)
+                phi = _search(g, k, state)
         if phi is None:
             keep = trial
-        elif len(core) == len(trial):
+            shared = False
+            run = None
+            saved.clear()
+            continue
+        if run is not None:
+            pending[v] = 0  # its trial is over: no pause there, no state kept
+            saved.pop(v, None)
+        if len(core) == len(trial):
             colorings[v] = phi
+            shared = True
     return frozenset(keep), colorings

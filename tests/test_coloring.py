@@ -323,14 +323,21 @@ def test_extract_critical_skips_search_while_a_clique_survives(monkeypatch):
     edges += [(m + i, m + j) for i in range(4) for j in range(i + 1, 4)]
     g = graph_from_edges(m + 4, edges)
     clique = set(range(m, m + 4))
-    original = coloring_mod.find_k_coloring
+    original = coloring_mod._search
 
-    def inside_clique_only(h, k, on=None):
-        assert on is not None and set(on) <= clique, "searched with the K4 intact"
-        return original(h, k, on)
+    def inside_clique_only(h, k, run, pause=None):
+        # every search, fresh, shared or resumed, goes through `_search`
+        assert _searched(run) <= clique, "searched with the K4 intact"
+        return original(h, k, run, pause)
 
-    monkeypatch.setattr(coloring_mod, "find_k_coloring", inside_clique_only)
+    monkeypatch.setattr(coloring_mod, "_search", inside_clique_only)
     assert _critical(g) == clique
+
+
+def _searched(run):
+    # the vertex set of a search in progress: uncoloured and stacked vertices
+    free, _, _, _, stack = run
+    return set(free) | {frame[0] for frame in stack}
 
 
 def _pendant_c7_complement(m):
@@ -342,24 +349,34 @@ def _pendant_c7_complement(m):
 
 def test_searches_see_only_cores(monkeypatch):
     # chi = 4 and no K4, so no clique settles the question: every search runs,
-    # and each must be on a k-core, never on the pendant path
+    # and each that runs to its end (`pause` is None), fresh or resumed from
+    # a shared run, must be on a k-core, never on the pendant path.  A shared
+    # run is on the kept set, which still holds the vertex of the trial that
+    # resumes from it; it stops before selecting that vertex.
     m = 30
     g = _pendant_c7_complement(m)
-    original = coloring_mod.find_k_coloring
+    original = coloring_mod._search
     calls = []
 
-    def core_only(h, k, on=None):
-        assert on is not None, "searched the whole graph"
-        inside = set(on)
-        for v in inside:
-            assert len(set(h.neighbors(v)) & inside) >= k, f"vertex {v} not in the {k}-core"
-        calls.append(k)
-        return original(h, k, on)
+    def core_only(h, k, run, pause=None):
+        inside = _searched(run)
+        assert len(inside) < h.n, "searched the whole graph"
+        if pause is None:
+            for v in inside:
+                assert len(set(h.neighbors(v)) & inside) >= k, f"vertex {v} not in the {k}-core"
+        calls.append((len(inside), pause is not None, bool(run[4])))
+        return original(h, k, run, pause)
 
-    monkeypatch.setattr(coloring_mod, "find_k_coloring", core_only)
+    monkeypatch.setattr(coloring_mod, "_search", core_only)
     assert chromatic_number(g) == 4
+    calls.clear()
     assert _critical(g) == set(range(m, m + 7))
-    assert calls
+    # once the path is gone, the first trial on the complement of C7 searches
+    # afresh and keeps its vertex; the other six resume from one run on it,
+    # each past some painted vertices (a non-empty stack)
+    assert calls.count((6, False, False)) == 1
+    assert calls.count((6, False, True)) == 6
+    assert (7, True, False) in calls
 
 
 def _restart_scan_critical(g):

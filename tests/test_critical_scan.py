@@ -1,11 +1,14 @@
-"""The critical scan gives exactly what one fresh search per trial gives.
+"""The critical scan gives exactly what one fresh search per trial gives,
+with no more search work.
 
 `per_trial_critical_scan` in conftest is the scan with a fresh colouring
 search for every trial set.  `extract_vertex_critical` must return the same
 kept set and the same stored colourings on every input here: the golden
 inputs with maximum degree at least 4, C_m[K_2] (the circulant
-C_2m(1, m - 1, m), whose refutations backtrack hard), squared cycles beyond
-graph6's order limit, and small random graphs.
+C_2m(1, m - 1, m), whose refutations backtrack hard), squared cycles, also
+beyond graph6's order limit, and small random graphs.  Counted in neighbour
+reads, one per paint or unpaint, the scan must do no more search work than
+the reference anywhere, and strictly less on the 4-critical squared cycles.
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ CASES = {
     "golden": _golden,
     "C11[K2]": lambda: [(_c_m_k2(11), 5)],
     "C13[K2]": lambda: [(_c_m_k2(13), 5)],
+    "C_n^2, n <= 61": lambda: [(cycle_power(n, 2), 4) for n in range(10, 62, 3)],
     "C100^2": lambda: [(cycle_power(100, 2), 4)],
     "C199^2": lambda: [(cycle_power(199, 2), 4)],
     "C400^2": lambda: [(cycle_power(400, 2), 4)],
@@ -74,3 +78,20 @@ def test_scan_matches_per_trial_reference(name):
     for g, want, _, got, _ in _scans(name):
         assert got[0] == want[0], (name, g)
         assert got[1] == want[1], (name, g)
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_scan_reads_no_more_than_per_trial_reference(name):
+    # a run on keep advanced past what the trials read would fail on C_m[K_2]:
+    # it goes on to refute all of keep, which no trial needs
+    for g, _, want_reads, _, got_reads in _scans(name):
+        assert got_reads <= want_reads, (name, g)
+
+
+@pytest.mark.parametrize("name", [name for name in CASES if name.startswith("C") and "^2" in name])
+def test_scan_shares_search_work_on_squared_cycles(name):
+    # n = 1 (mod 3): C_n^2 is 4-critical, so every trial searches, and from
+    # vertex 2 on each trial resumes past the paints it shares with the run
+    # on all of C_n^2
+    for g, _, want_reads, _, got_reads in _scans(name):
+        assert got_reads < want_reads, (name, g)

@@ -390,16 +390,20 @@ def test_find_witness_splits_each_vertex_once(monkeypatch, n):
 )
 def test_find_witness_colours_each_subgraph_once(monkeypatch, g):
     # the critical scan's colorings of g - v feed the regular split sweep,
-    # so one find_witness call never asks for the same coloring twice
+    # so one find_witness call never asks for the same coloring twice.  Every
+    # search, `find_k_coloring`'s included, is a run of `coloring._search`;
+    # one that runs to its end (no `pause`), fresh or resumed from the
+    # scan's shared run, is one coloring asked for
     asked = []
-    original = coloring_mod.find_k_coloring
+    original = coloring_mod._search
 
-    def recording(h, k, on=None):
-        asked.append((h, k, tuple(sorted(set(range(h.n) if on is None else on)))))
-        return original(h, k, on)
+    def recording(h, k, run, pause=None):
+        if pause is None:
+            free, _, _, _, stack = run
+            asked.append((h, k, tuple(sorted(set(free) | {frame[0] for frame in stack}))))
+        return original(h, k, run, pause)
 
-    monkeypatch.setattr(coloring_mod, "find_k_coloring", recording)
-    monkeypatch.setattr(witness_mod, "find_k_coloring", recording)
+    monkeypatch.setattr(coloring_mod, "_search", recording)
     find_witness(g)
     assert asked
     assert [key for key, times in Counter(asked).items() if times > 1] == []

@@ -7,7 +7,8 @@ properness check, the Kempe swap and the residue-class colourings of squared
 cycles are facts the tests check about the proof's setting; no route of the
 program needs them.  `per_trial_critical_scan` is the critical scan with one
 fresh colouring search per trial, and `CountingGraph` counts the neighbour
-reads a search makes, so the tests can hold the scan to both.
+reads a search makes, so the tests can hold the scan to both;
+`searched_vertices` reads which vertices a search in progress colours.
 """
 
 from __future__ import annotations
@@ -182,6 +183,13 @@ class CountingGraph(Graph):
     def neighbors(self, v: int) -> tuple[int, ...]:
         self.reads += 1
         return Graph.neighbors(self, v)
+
+
+def searched_vertices(run) -> set[int]:
+    """The vertex set of a colouring search in progress (`coloring._search`'s
+    state): its uncoloured vertices still to select and its stacked ones."""
+    free, _, _, _, stack = run
+    return set(free) | {frame[0] for frame in stack}
 
 
 def per_trial_critical_scan(g: Graph, chi: int) -> tuple[frozenset[int], dict[int, Coloring]]:

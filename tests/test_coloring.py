@@ -23,6 +23,7 @@ from conftest import (
     kempe_swap,
     path_n,
     random_graph,
+    searched_vertices,
 )
 
 
@@ -327,17 +328,11 @@ def test_extract_critical_skips_search_while_a_clique_survives(monkeypatch):
 
     def inside_clique_only(h, k, run, pause=None):
         # every search, fresh, shared or resumed, goes through `_search`
-        assert _searched(run) <= clique, "searched with the K4 intact"
+        assert searched_vertices(run) <= clique, "searched with the K4 intact"
         return original(h, k, run, pause)
 
     monkeypatch.setattr(coloring_mod, "_search", inside_clique_only)
     assert _critical(g) == clique
-
-
-def _searched(run):
-    # the vertex set of a search in progress: uncoloured and stacked vertices
-    free, _, _, _, stack = run
-    return set(free) | {frame[0] for frame in stack}
 
 
 def _pendant_c7_complement(m):
@@ -359,7 +354,7 @@ def test_searches_see_only_cores(monkeypatch):
     calls = []
 
     def core_only(h, k, run, pause=None):
-        inside = _searched(run)
+        inside = searched_vertices(run)
         assert len(inside) < h.n, "searched the whole graph"
         if pause is None:
             for v in inside:

@@ -46,6 +46,7 @@ from conftest import (
     k_n,
     path_n,
     petersen,
+    searched_vertices,
     sequence_three_coloring,
 )
 
@@ -399,8 +400,7 @@ def test_find_witness_colours_each_subgraph_once(monkeypatch, g):
 
     def recording(h, k, run, pause=None):
         if pause is None:
-            free, _, _, _, stack = run
-            asked.append((h, k, tuple(sorted(set(free) | {frame[0] for frame in stack}))))
+            asked.append((h, k, tuple(sorted(searched_vertices(run)))))
         return original(h, k, run, pause)
 
     monkeypatch.setattr(coloring_mod, "_search", recording)

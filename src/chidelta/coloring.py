@@ -17,9 +17,9 @@ colouring, is the frozenset of its vertices.
 from __future__ import annotations
 
 from bisect import insort
-from typing import Iterable
+from typing import Container, Iterable
 
-from .graph import Graph
+from .graph import Graph, min_degree
 
 Coloring = tuple[int, ...]
 
@@ -163,6 +163,27 @@ def _greedy_clique(g: Graph, verts: list[int]) -> list[int]:
     return clique
 
 
+def _has_clique(g: Graph, size: int, mask: int) -> bool:
+    # Whether the vertices in the bitmask `mask` include `size` pairwise
+    # adjacent ones.  Exact: depth-first over ascending ids, one stack entry
+    # of untried candidates per chosen vertex, dropping an entry once its
+    # candidates are too few to finish a clique.
+    adj = g.adjacency_mask
+    stack = [mask]
+    while stack:
+        need = size - len(stack) + 1  # vertices still to choose
+        if need <= 0:
+            return True
+        cand = stack[-1]
+        if cand.bit_count() < need:
+            stack.pop()
+            continue
+        low = cand & -cand
+        stack[-1] = cand ^ low
+        stack.append(cand & adj(low.bit_length() - 1))
+    return False
+
+
 def _peel(g: Graph, k: int, verts: list[int]) -> list[int]:
     # The k-core of the subgraph induced by the distinct ascending `verts`,
     # ascending.  A vertex with fewer than k neighbours can always be
@@ -244,13 +265,16 @@ def kempe_chain(g: Graph, c: Coloring, start: int, a: int, b: int) -> frozenset[
 
 
 def shortest_path_in_chain(
-    g: Graph, chain: frozenset[int], start: int, targets: Iterable[int]
+    g: Graph, chain: Container[int], start: int, targets: Iterable[int]
 ) -> tuple[int, ...] | None:
     """Shortest path inside the chain from `start` to the nearest target.
 
     Breadth-first layers; each newly reached vertex records its lowest-id
     predecessor, and among targets in the first reachable layer the lowest id
-    wins, so the returned path is deterministic.
+    wins, so the returned path is deterministic.  The search only ever
+    reaches the component of `start` inside `chain`, so `chain` may be any
+    vertex set whose component of `start` is the chain, such as the union of
+    the chain's two colour classes, and the path is the same.
     """
     if start not in chain:
         raise ValueError(f"start vertex {start} is not in the chain")
@@ -294,6 +318,15 @@ def extract_vertex_critical(g: Graph, chi: int) -> tuple[frozenset[int], dict[in
     suffices: a vertex found necessary in a superset stays necessary in
     every later subset, so a rescan would delete nothing.
 
+    Two of those steps are skipped where they cannot act, and both skips
+    are exact.  While nothing is deleted and every vertex of g has at least
+    chi neighbours, a trial set lacks one vertex, so each of its vertices
+    keeps at least chi - 1 neighbours in it: the trial set is its own
+    (chi - 1)-core and is not peeled.  The first deletion ends that.  And
+    a greedy clique is a clique, so one of more than chi - 1 vertices is a
+    K_chi in g: one exact clique test per call, and if g has no K_chi (no
+    4-critical squared cycle has a K_4) no trial computes a greedy clique.
+
     A kept vertex v is kept because the other remaining vertices have a
     (chi - 1)-coloring.  When peeling removed none of them, that coloring
     covers the whole trial set, and it is returned in the dict under v.
@@ -323,6 +356,8 @@ def extract_vertex_critical(g: Graph, chi: int) -> tuple[frozenset[int], dict[in
         raise ValueError("empty graph")
     k = chi - 1
     keep = list(range(g.n))
+    unpeeled = min_degree(g) >= chi  # nothing deleted yet, and no trial can peel
+    cliques = _has_clique(g, chi, (1 << g.n) - 1)  # a greedy clique could refute
     colorings: dict[int, Coloring] = {}
     shared = False  # an unpeeled trial on `keep` kept its vertex
     run = None  # the search on `keep`, advanced lazily
@@ -331,10 +366,10 @@ def extract_vertex_critical(g: Graph, chi: int) -> tuple[frozenset[int], dict[in
         trial = [u for u in keep if u != v]
         if not trial:
             continue
-        core = _peel(g, k, trial)
+        core = trial if unpeeled else _peel(g, k, trial)
         if not core:
             phi = (0,) * g.n
-        elif len(_greedy_clique(g, core)) > k:
+        elif cliques and len(_greedy_clique(g, core)) > k:
             phi = None
         elif len(core) < len(trial) or not shared:
             phi = _search(g, k, _start(g, k, core))
@@ -356,6 +391,7 @@ def extract_vertex_critical(g: Graph, chi: int) -> tuple[frozenset[int], dict[in
                 phi = _search(g, k, state)
         if phi is None:
             keep = trial
+            unpeeled = False
             shared = False
             run = None
             saved.clear()

@@ -26,7 +26,7 @@ from .coloring import (
     kempe_chain,
     shortest_path_in_chain,
 )
-from .graph import Graph, cycle_power, induced_subgraph, is_connected, max_degree, min_degree
+from .graph import Graph, induced_subgraph, is_connected, max_degree, min_degree
 from .oracle import find_clique, is_c7_complement, odd_holes, oracle_witness
 
 log = logging.getLogger(__name__)
@@ -129,7 +129,11 @@ def neighborhood_split(
     component towards A: a single-edge path certifies attachment, a longer
     path closes an odd hole through v, returned instead of the split, and a
     missing path means the coloring could be rearranged to extend, which
-    raises ContractError, as does a colour missing around v.
+    raises ContractError, as does a colour missing around v.  The path is
+    a breadth-first search from the B-vertex inside the union of the two
+    colour classes, stopped at the first layer that meets A; it reaches
+    only the B-vertex's component there, the Kempe chain, so the chain
+    itself is never built.
     """
     delta = max_degree(g)
     if delta < 4:
@@ -152,8 +156,9 @@ def neighborhood_split(
     if hole is not None:
         return hole
     for b in sorted(b_set, key=lambda u: phi[u]):
-        chain = kempe_chain(g, phi, b, dup_color, phi[b])
-        path = shortest_path_in_chain(g, chain, b, set(a_pair))
+        pair = (dup_color, phi[b])
+        classes = {u for u, c in enumerate(phi) if c in pair}
+        path = shortest_path_in_chain(g, classes, b, set(a_pair))
         if path is None:
             raise ContractError(f"component of {b} misses both of {a_pair}; the coloring extends")
         if len(path) > 2:
@@ -272,9 +277,8 @@ def trace_squared_cycle(
         walk.append(b2 if b1 == walk[-2] else b1)
     if len(set(walk)) != n:
         raise ContractError("walk along the quads revisits a vertex before closing")
-    square = cycle_power(n, 2)
     for p, u in enumerate(walk):
-        if g.adjacency_mask(u) != _mask(walk[w] for w in square.neighbors(p)):
+        if g.adjacency_mask(u) != _mask(walk[(p + s) % n] for s in (-2, -1, 1, 2)):
             raise ContractError(f"neighbours of {u} disagree with its position {p}")
     return tuple(walk)
 
@@ -388,7 +392,7 @@ def _derive_witness(g: Graph) -> Certificate:
 
     kept, colorings = extract_vertex_critical(g, chi)
     keep = sorted(kept)
-    sub, _ = induced_subgraph(g, keep)
+    sub = g if len(keep) == g.n else induced_subgraph(g, keep)[0]
     sub_delta = max_degree(sub)
     if sub_delta == delta - 1:
         size = delta * (delta - 1) // 2

@@ -9,6 +9,8 @@ program needs them.  `per_trial_critical_scan` is the critical scan with one
 fresh colouring search per trial, and `CountingGraph` counts the neighbour
 reads a search makes, so the tests can hold the scan to both;
 `searched_vertices` reads which vertices a search in progress colours.
+`chain_split_reference` is the neighbourhood split with each attachment
+path sought inside the B-vertex's full Kempe chain, built first.
 """
 
 from __future__ import annotations
@@ -20,8 +22,16 @@ from typing import Iterable
 import networkx as nx
 import pytest
 
-from chidelta.coloring import Coloring, _greedy_clique, find_k_coloring
+from chidelta.certificate import HighOddHoleWitness
+from chidelta.coloring import (
+    Coloring,
+    _greedy_clique,
+    find_k_coloring,
+    kempe_chain,
+    shortest_path_in_chain,
+)
 from chidelta.graph import Graph, complement, cycle_power, graph_from_edges
+from chidelta.witness import _probe_pairs
 
 
 def k_n(n: int) -> Graph:
@@ -229,3 +239,31 @@ def per_trial_critical_scan(g: Graph, chi: int) -> tuple[frozenset[int], dict[in
         elif len(core) == len(trial):
             colorings[v] = phi
     return frozenset(keep), colorings
+
+
+def chain_split_reference(g: Graph, v: int, phi: Coloring):
+    """`neighborhood_split` on input it accepts (a regular graph, every
+    colour around v), each B-vertex's Kempe chain built in full before the
+    shortest path from it to A is sought inside it.
+
+    Returns the split (A, B) or the hole it closes as `neighborhood_split`
+    does, and None where that raises ContractError because a chain misses A;
+    a ContractError from a probe of two B-vertices propagates.
+    """
+    by_color: dict[int, list[int]] = {}
+    for u in g.neighbors(v):
+        by_color.setdefault(phi[u], []).append(u)
+    dup = next(c for c, verts in by_color.items() if len(verts) == 2)
+    a_pair = tuple(sorted(by_color[dup]))
+    b_set = sorted(u for u in g.neighbors(v) if u not in a_pair)
+    hole = _probe_pairs(g, v, b_set, phi)
+    if hole is not None:
+        return hole
+    for b in sorted(b_set, key=lambda u: phi[u]):
+        chain = kempe_chain(g, phi, b, dup, phi[b])
+        path = shortest_path_in_chain(g, chain, b, set(a_pair))
+        if path is None:
+            return None
+        if len(path) > 2:
+            return HighOddHoleWitness(tuple(path) + (v,))
+    return a_pair, frozenset(b_set)

@@ -14,6 +14,7 @@ from chidelta.coloring import (
     shortest_path_in_chain,
 )
 from chidelta.graph import cycle_power, graph_from_edges, induced_subgraph, max_degree, min_degree
+from chidelta.oracle import find_clique
 
 from conftest import (
     brute_chromatic,
@@ -423,6 +424,18 @@ def test_greedy_clique_matches_reference():
         for verts in (list(range(n)), subset):
             got = coloring_mod._greedy_clique(g, verts)
             assert got == _greedy_clique_reference(g, verts), (n, sorted(g.edges()), verts)
+
+
+def test_has_clique_matches_the_oracle():
+    # the critical scan's exact clique test against the oracle's clique
+    # search, at every size from a single vertex to one more than n
+    rng = random.Random(5151)
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        g = random_graph(rng, n, rng.choice([0.2, 0.35, 0.5, 0.7, 0.85]))
+        for s in range(1, n + 2):
+            want = find_clique(g, s) is not None
+            assert coloring_mod._has_clique(g, s, (1 << n) - 1) == want, (n, sorted(g.edges()), s)
 
 
 def test_extract_critical_matches_restart_scan():

@@ -9,6 +9,8 @@ C_2m(1, m - 1, m), whose refutations backtrack hard), squared cycles, also
 beyond graph6's order limit, and small random graphs.  Counted in neighbour
 reads, one per paint or unpaint, the scan must do no more search work than
 the reference anywhere, and strictly less on the 4-critical squared cycles.
+On those it must also neither peel a trial set nor compute a greedy clique:
+neither can act on a K_4-free 4-regular graph while nothing is deleted.
 """
 
 from __future__ import annotations
@@ -19,8 +21,11 @@ from pathlib import Path
 
 import pytest
 
+import chidelta.coloring as coloring_mod
+from chidelta.certificate import HighOddHoleWitness
 from chidelta.coloring import chromatic_number, extract_vertex_critical
 from chidelta.graph import cycle_power, decode_graph6, graph_from_edges, max_degree
+from chidelta.witness import find_witness
 
 from conftest import CountingGraph, per_trial_critical_scan, random_graph
 
@@ -95,3 +100,36 @@ def test_scan_shares_search_work_on_squared_cycles(name):
     # on all of C_n^2
     for g, _, want_reads, _, got_reads in _scans(name):
         assert got_reads < want_reads, (name, g)
+
+
+FOUR_CRITICAL_SQUARES = [n for n in range(10, 62) if n % 3 == 1] + [100, 199, 400]
+
+
+@pytest.mark.parametrize("n", FOUR_CRITICAL_SQUARES)
+def test_scan_neither_peels_nor_bounds_a_critical_squared_cycle(monkeypatch, n):
+    # C_n^2 is 4-regular with chi = 4, so while nothing is deleted no trial
+    # can peel, and it has no K_4, so no greedy clique can refute a trial;
+    # the scan deletes nothing, so it pays for neither
+    calls = []
+    for name in ("_peel", "_greedy_clique"):
+        original = getattr(coloring_mod, name)
+
+        def counting(*args, _name=name, _original=original):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(coloring_mod, name, counting)
+    kept, colorings = extract_vertex_critical(cycle_power(n, 2), 4)
+    assert kept == set(range(n)) and sorted(colorings) == list(range(n))
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "m,cycle",
+    [(15, tuple(range(2, 16)) + (1,)), (17, tuple(range(2, 18)) + (1,))],
+)
+def test_find_witness_pinned_on_c_m_k2(m, cycle):
+    # C_m[K_2] is 5-regular with chi = 5 and no K_5, so the scan skips every
+    # greedy clique on a graph whose refutations backtrack hard; its
+    # certificate is the one it had while every trial computed one
+    assert find_witness(_c_m_k2(m)) == HighOddHoleWitness(cycle)

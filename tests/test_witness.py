@@ -1,6 +1,8 @@
+import importlib.util
 import itertools
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -41,6 +43,7 @@ from chidelta.witness import (
 
 from conftest import (
     c7_complement,
+    chain_split_reference,
     forced_coloring_conflict,
     is_proper,
     k_n,
@@ -270,6 +273,82 @@ def test_neighborhood_split_rejects_a_long_coloring():
     phi = extract_vertex_critical(g, 4)[1][0]
     with pytest.raises(ContractError, match=r"not a \(3\)-coloring of g minus 0"):
         neighborhood_split(g, 0, phi + (0,))
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _golden_regular():
+    rows = (ROOT / "tests" / "data" / "golden_certificates.txt").read_text(encoding="ascii")
+    graphs = (decode_graph6(row.split("\t")[0]) for row in rows.splitlines())
+    return [g for g in graphs if min_degree(g) == max_degree(g) >= 4]
+
+
+def _bench_squares():
+    # the squared_cycles workload's relabelled C_n^2, n <= 61, read from the
+    # benchmark's own input builder
+    spec = importlib.util.spec_from_file_location("bench_inputs", ROOT / "bench" / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    return [decode_graph6(line) for _, line in inputs.squared_cycle_inputs()]
+
+
+SPLIT_INPUTS = {
+    "golden regular": _golden_regular,
+    "bench squares": _bench_squares,
+    "split closes a hole": lambda: [decode_graph6("H@U^NRo"), decode_graph6("LhEIHEPQHGaPaP")],
+}
+
+
+@pytest.mark.parametrize("name", list(SPLIT_INPUTS))
+def test_neighborhood_split_matches_the_full_chain_reference(name):
+    # the attachment search inside the two colour classes finds the path
+    # that the search inside the B-vertex's full Kempe chain finds, at every
+    # v whose g - v has a (delta - 1)-coloring
+    graphs = SPLIT_INPUTS[name]()
+    assert graphs
+    compared = 0
+    for g in graphs:
+        delta = max_degree(g)
+        for v in range(g.n):
+            phi = find_k_coloring(g, delta - 1, [u for u in range(g.n) if u != v])
+            if phi is None:
+                continue
+            want = chain_split_reference(g, v, phi)
+            if want is None:
+                with pytest.raises(ContractError):
+                    neighborhood_split(g, v, phi)
+            else:
+                assert neighborhood_split(g, v, phi) == want, (name, g.n, v)
+            compared += 1
+    assert compared
+
+
+def test_attachment_search_matches_the_full_chain_reference_on_any_colouring():
+    # the search inside two colour classes stays in the B-vertex's component
+    # whatever the colours are, proper or not; random colours reach the long
+    # attachment paths and the chains that miss A, which no coloring of g - v
+    # on these inputs reaches
+    rng = random.Random(6161)
+    outcomes = Counter()
+    for g in _golden_regular() + SPLIT_INPUTS["split closes a hole"]():
+        delta = max_degree(g)
+        for v in range(g.n):
+            for _ in range(5):
+                phi = tuple(0 if u == v else rng.randint(1, delta - 1) for u in range(g.n))
+                if len({phi[u] for u in g.neighbors(v)}) != delta - 1:
+                    continue
+                try:
+                    want = chain_split_reference(g, v, phi)
+                except ContractError:
+                    continue  # a B pair's probe refused the colours first
+                if want is None:
+                    with pytest.raises(ContractError, match="misses both"):
+                        neighborhood_split(g, v, phi)
+                else:
+                    assert neighborhood_split(g, v, phi) == want, (g.n, v, phi)
+                outcomes[type(want).__name__] += 1
+    assert set(outcomes) == {"NoneType", "tuple", "HighOddHoleWitness"}
 
 
 # --- attachment count and path quad ---------------------------------------------------

@@ -347,10 +347,9 @@ def extract_vertex_critical(g: Graph, chi: int) -> tuple[frozenset[int], dict[in
     selected.  Trial v resumes from its copy with v removed, which is step
     for step the fresh search on keep - v, and the copy is dropped.  If the
     run on keep ends without selecting v, the search on keep - v is that
-    same run, so v goes.  A deletion changes keep and discards the run.
-    The first such trial on each kept set searches afresh, and the run
-    starts only once it has kept its vertex: on small graphs, a run whose
-    first trial already deletes costs more in copies than it shares.
+    same run, so v goes.  A deletion changes keep and discards the run; the
+    next unpeeled trial starts a new one.  Trials whose set peels search
+    their core afresh.
     """
     if g.n == 0:
         raise ValueError("empty graph")
@@ -359,7 +358,6 @@ def extract_vertex_critical(g: Graph, chi: int) -> tuple[frozenset[int], dict[in
     unpeeled = min_degree(g) >= chi  # nothing deleted yet, and no trial can peel
     cliques = _has_clique(g, chi, (1 << g.n) - 1)  # a greedy clique could refute
     colorings: dict[int, Coloring] = {}
-    shared = False  # an unpeeled trial on `keep` kept its vertex
     run = None  # the search on `keep`, advanced lazily
     saved: dict[int, _Run] = {}  # its state just before u's first selection
     for v in range(g.n):
@@ -371,7 +369,7 @@ def extract_vertex_critical(g: Graph, chi: int) -> tuple[frozenset[int], dict[in
             phi = (0,) * g.n
         elif cliques and len(_greedy_clique(g, core)) > k:
             phi = None
-        elif len(core) < len(trial) or not shared:
+        elif len(core) < len(trial):
             phi = _search(g, k, _start(g, k, core))
         else:
             if run is None:
@@ -392,7 +390,6 @@ def extract_vertex_critical(g: Graph, chi: int) -> tuple[frozenset[int], dict[in
         if phi is None:
             keep = trial
             unpeeled = False
-            shared = False
             run = None
             saved.clear()
             continue
@@ -401,5 +398,4 @@ def extract_vertex_critical(g: Graph, chi: int) -> tuple[frozenset[int], dict[in
             saved.pop(v, None)
         if len(core) == len(trial):
             colorings[v] = phi
-            shared = True
     return frozenset(keep), colorings

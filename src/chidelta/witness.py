@@ -171,20 +171,20 @@ def split_attachment_check(
 ) -> None:
     """Check that the A-vertex `a` of the split (A, B) sees all of B but one.
 
-    Any count but |B| - 1 = d - 3, d the max degree, raises ContractError;
-    a smaller one means an earlier probe should have fired.  Full
-    attachment, d - 2, would close a clique K of size d on B + {a, centre},
-    but the split sweep runs only on a d-regular vertex-critical g.  K is
-    not d-regular, so it is a proper subgraph, and its chromatic number d
-    equals that of g, which contradicts vertex-criticality.
+    Any count but |B| - 1 raises ContractError; a smaller one means an
+    earlier probe should have fired.  Full attachment, |B|, would close a
+    clique K of size |B| + 2 on B + {a, centre}.  On the d-regular
+    vertex-critical g the split sweep runs on, B is N(centre) minus the two
+    A-vertices, so K has size d.  K is not d-regular, so it is a proper
+    subgraph, and its chromatic number d equals that of g, which
+    contradicts vertex-criticality.
     """
     a_pair, b = split
     if a not in a_pair:
         raise ContractError(f"vertex {a} is not in the split's A pair")
     count = (g.adjacency_mask(a) & _mask(b)).bit_count()
-    delta = max_degree(g)
-    if count != delta - 3:
-        raise ContractError(f"vertex {a} has {count} neighbours in B, expected {delta - 3}")
+    if count != len(b) - 1:
+        raise ContractError(f"vertex {a} has {count} neighbours in B, expected {len(b) - 1}")
 
 
 def _mask(verts) -> int:
@@ -344,16 +344,27 @@ def find_witness(g: Graph) -> Certificate:
 
     Dispatch: degree 2 yields an edge; degree 3 yields a triangle or the
     shortest odd cycle (chordless, since a chord would split off a shorter
-    odd cycle, and triangle-free rules out length 3).  For degree >= 4 the
-    search moves to a vertex-critical subgraph: if its maximum degree drops
-    it must be complete; otherwise vertices of deficient degree are probed
-    directly.  A regular critical subgraph (necessarily the whole graph) gets
-    the path quad at every vertex, in vertex order: neighbourhood split, both
-    attachment checks and the quad, where the first hole a split closes
-    wins.  Each split requires the coloring of g - v that the critical scan
-    found when it kept v, so no g - v is coloured twice; on this branch the
-    scan deleted nothing and no trial set peeled, so it stored one for
-    every v.  At degree 4 that sweep is the first half of
+    odd cycle, and triangle-free rules out length 3).  For degree d >= 4 the
+    search moves to the vertex set H of a vertex-critical subgraph with
+    chromatic number d and reads the branch off it.  Every vertex of H has
+    at least d - 1 neighbours in H, or it could be coloured last.  A
+    d-chromatic graph on d vertices is complete, so H of d vertices is the
+    clique K_d.  Otherwise H has maximum degree d: at d - 1 it would be
+    (d - 1)-regular with chromatic number d, so complete by Brooks' theorem
+    (an odd cycle needs d = 3), on d vertices.  So a vertex of degree d - 1
+    in H is probed directly, and if there is none, H is d-regular: no
+    vertex of H has a neighbour outside it, and g is connected, so H is all
+    of g.  Were the scan wrong, each branch would still end in
+    ContractError: a wrong clique fails verification, and a bad regular
+    branch fails the neighbourhood split, the quads or the trace.
+
+    The regular g gets the path quad at every vertex, in vertex order:
+    neighbourhood split, both attachment checks and the quad, where the
+    first hole a split closes wins.  Each split requires the coloring of
+    g - v that the critical scan found when it kept v, so no g - v is
+    coloured twice; on this branch the scan deleted nothing and no trial
+    set peeled, so it stored one for every v.  At degree 4 that sweep is the
+    first half of
     `trace_squared_cycle`, whose walk, the vertex at each position of the
     squared cycle, then yields the explicit hole (or the complement of C7),
     unless a split already closed one; at degree >= 5 a silent sweep falls
@@ -391,27 +402,13 @@ def _derive_witness(g: Graph) -> Certificate:
         return HighOddHoleWitness(cycle)
 
     kept, colorings = extract_vertex_critical(g, chi)
+    if len(kept) == delta:
+        return CliqueWitness(kept)
     keep = sorted(kept)
     sub = g if len(keep) == g.n else induced_subgraph(g, keep)[0]
-    sub_delta = max_degree(sub)
-    if sub_delta == delta - 1:
-        size = delta * (delta - 1) // 2
-        if sub.n != delta or sub.edge_count() != size:
-            raise ContractError(
-                "critical subgraph with reduced maximum degree is not complete"
-            )
-        return CliqueWitness(frozenset(keep))
-    if sub_delta != delta:
-        raise ContractError(
-            f"critical subgraph has maximum degree {sub_delta}, expected {delta} or {delta - 1}"
-        )
     deficient = [v for v in range(sub.n) if sub.degree(v) == delta - 1]
     if deficient:
         return _lift(degree_deficient_probe(sub, deficient[0]), keep)
-    if sub.n != g.n:
-        raise ContractError(
-            "regular critical subgraph must span the whole connected graph"
-        )
     if delta >= 5:
         quads = _quads(g, colorings)
         if isinstance(quads, HighOddHoleWitness):

@@ -6,11 +6,15 @@ search for every trial set.  `extract_vertex_critical` must return the same
 kept set and the same stored colourings on every input here: the golden
 inputs with maximum degree at least 4, C_m[K_2] (the circulant
 C_2m(1, m - 1, m), whose refutations backtrack hard), squared cycles, also
-beyond graph6's order limit, and small random graphs.  Counted in neighbour
-reads, one per paint or unpaint, the scan must do no more search work than
-the reference anywhere, and strictly less on the 4-critical squared cycles.
-On those it must also neither peel a trial set nor compute a greedy clique:
-neither can act on a K_4-free 4-regular graph while nothing is deleted.
+beyond graph6's order limit, and small random graphs.  On C_n^2 with
+n = 2 (mod 3) the first trial, on all of the graph but vertex 0, deletes
+vertex 0.  Counted in neighbour reads, one per paint or unpaint, the scan
+must do no more search work than the reference anywhere, and strictly less
+on the squared cycles.  On the 4-critical ones it must also neither peel a
+trial set nor compute a greedy clique: neither can act on a K_4-free
+4-regular graph while nothing is deleted.  Where chi equals the maximum
+degree, the kept set must have the shape `find_witness` reads its branch
+off.
 """
 
 from __future__ import annotations
@@ -24,7 +28,9 @@ import pytest
 import chidelta.coloring as coloring_mod
 from chidelta.certificate import HighOddHoleWitness
 from chidelta.coloring import chromatic_number, extract_vertex_critical
-from chidelta.graph import cycle_power, decode_graph6, graph_from_edges, max_degree
+from chidelta.graph import (
+    cycle_power, decode_graph6, graph_from_edges, induced_subgraph, max_degree, min_degree
+)
 from chidelta.witness import find_witness
 
 from conftest import CountingGraph, per_trial_critical_scan, random_graph
@@ -61,6 +67,9 @@ CASES = {
     "C100^2": lambda: [(cycle_power(100, 2), 4)],
     "C199^2": lambda: [(cycle_power(199, 2), 4)],
     "C400^2": lambda: [(cycle_power(400, 2), 4)],
+    "C_n^2, n = 2 (mod 3), n <= 62": lambda: [(cycle_power(n, 2), 4) for n in range(11, 63, 3)],
+    "C101^2": lambda: [(cycle_power(101, 2), 4)],
+    "C200^2": lambda: [(cycle_power(200, 2), 4)],
     "random": _random,
 }
 
@@ -133,3 +142,33 @@ def test_find_witness_pinned_on_c_m_k2(m, cycle):
     # greedy clique on a graph whose refutations backtrack hard; its
     # certificate is the one it had while every trial computed one
     assert find_witness(_c_m_k2(m)) == HighOddHoleWitness(cycle)
+
+
+@pytest.mark.parametrize("name", [name for name in CASES if name != "random"])
+def test_kept_set_has_a_shape_find_witness_reads(name):
+    # chi = Delta = d on these inputs.  Kept has d vertices exactly when it
+    # induces K_d; otherwise it induces maximum degree d and minimum degree
+    # at least d - 1, and it is d-regular only as all of g
+    for g, _, _, (kept, _), _ in _scans(name):
+        d = max_degree(g)
+        sub, _ = induced_subgraph(g, sorted(kept))
+        complete = sub.edge_count() == sub.n * (sub.n - 1) // 2
+        assert (len(kept) == d) == (complete and sub.n == d), (name, g)
+        if len(kept) != d:
+            assert max_degree(sub) == d and min_degree(sub) >= d - 1, (name, g)
+            if min_degree(sub) == d:
+                assert sub.n == g.n, (name, g)
+
+
+def _two_mod_three_hole(n):
+    # positions 2..n - 1 off the multiples of 3, then back to 1: the hole
+    # find_witness gave C_n^2 for n = 2 (mod 3) while the first unpeeled
+    # trial on each kept set still searched afresh
+    return HighOddHoleWitness(tuple(p for p in range(2, n) if p % 3) + (1,))
+
+
+@pytest.mark.parametrize("n", [101, 200, 401])
+def test_find_witness_pinned_on_squared_cycles_two_mod_three(n):
+    # the scan's first trial deletes vertex 0, so the kept set is C_n^2 - 0
+    # and the certificate comes from the deficient probe
+    assert find_witness(cycle_power(n, 2)) == _two_mod_three_hole(n)

@@ -53,7 +53,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterator
 
-from .graph import Graph, _triangle_rows
+from .graph import Graph, _graph, _triangle_rows
 
 GENERATION_CAP = 9
 
@@ -299,4 +299,4 @@ def generate_connected_graphs(n: int) -> Iterator[Graph]:
     if not 1 <= n <= GENERATION_CAP:
         raise ValueError(f"order {n} outside supported range 1..{GENERATION_CAP}")
     for adj in _connected_level(n):
-        yield Graph(n, adj)
+        yield _graph(n, adj)

@@ -1,4 +1,13 @@
-"""Bitset-backed simple undirected graphs and the graph6 line codec."""
+"""Bitset-backed simple undirected graphs and the graph6 line codec.
+
+`Graph(n, adj)` is the one constructor that checks its rows: each must lie
+in range, hold no loop and agree with the others.  Every other builder here
+(`graph_from_edges`, after its own range and loop checks on each edge,
+`induced_subgraph`, `complement`, `cycle_power` and `decode_graph6`) and
+`generate.generate_connected_graphs` make rows that are symmetric, loopless
+and in range by construction, and wrap them with `_graph`, which checks
+nothing.
+"""
 
 from __future__ import annotations
 
@@ -17,7 +26,10 @@ class Graph:
 
     Adjacency is stored as one int bitmask per vertex, so neighbourhood
     intersection, membership and popcounts are word-parallel operations.
-    Neighbour tuples are precomputed for cheap Python-level iteration.
+    Neighbour tuples, for cheap Python-level iteration, are built for every
+    vertex on the first `neighbors` call (or `edges`), so a graph read only
+    through its bitmasks never builds them.  Building them twice gives the
+    same tuples, so a graph stays safe to share.
     """
 
     __slots__ = ("n", "_adj", "_nbrs")
@@ -32,21 +44,23 @@ class Graph:
                 raise GraphError(f"vertex {v} has a neighbour outside [0, {n})")
             if row >> v & 1:
                 raise GraphError(f"loop at vertex {v}")
-        nbrs = tuple(map(_bits, adj))
-        for v, row in enumerate(nbrs):
-            for u in row:
+        for v, row in enumerate(adj):
+            for u in _bits(row):
                 if not adj[u] >> v & 1:
                     raise GraphError(f"asymmetric adjacency between {u} and {v}")
         self.n = n
         self._adj = adj
-        self._nbrs = nbrs
+        self._nbrs: tuple[tuple[int, ...], ...] | None = None
 
     def degree(self, v: int) -> int:
         return self._adj[v].bit_count()
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         """Neighbours of v in ascending order."""
-        return self._nbrs[v]
+        nbrs = self._nbrs
+        if nbrs is None:
+            nbrs = self._nbrs = tuple(map(_bits, self._adj))
+        return nbrs[v]
 
     def adjacency_mask(self, v: int) -> int:
         """Neighbour set of v as a bitmask (bit u set iff u ~ v)."""
@@ -57,7 +71,7 @@ class Graph:
 
     def edges(self) -> Iterator[tuple[int, int]]:
         for v in range(self.n):
-            for u in self._nbrs[v]:
+            for u in self.neighbors(v):
                 if u > v:
                     yield (v, u)
 
@@ -72,6 +86,16 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.edge_count()})"
+
+
+def _graph(n: int, adj: tuple[int, ...]) -> Graph:
+    """The graph on n vertices with rows `adj`, which the caller has built
+    symmetric, loopless and in range, as `Graph(n, adj)` but unchecked."""
+    g = object.__new__(Graph)
+    g.n = n
+    g._adj = adj
+    g._nbrs = None
+    return g
 
 
 # _BYTE_BITS[b] lists the set bits of the byte b in ascending order
@@ -105,7 +129,7 @@ def graph_from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
             raise GraphError(f"loop edge at {u}")
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-    return Graph(n, adj)
+    return _graph(n, tuple(adj))
 
 
 def is_connected(g: Graph) -> bool:
@@ -146,12 +170,12 @@ def induced_subgraph(g: Graph, keep: Iterable[int]) -> tuple[Graph, dict[int, in
         for u in g.neighbors(old):
             if u in old_to_new:
                 adj[new] |= 1 << old_to_new[u]
-    return Graph(len(kept), adj), old_to_new
+    return _graph(len(kept), tuple(adj)), old_to_new
 
 
 def complement(g: Graph) -> Graph:
     full = (1 << g.n) - 1
-    return Graph(g.n, tuple(full & ~row & ~(1 << v) for v, row in enumerate(g._adj)))
+    return _graph(g.n, tuple(full & ~row & ~(1 << v) for v, row in enumerate(g._adj)))
 
 
 def cycle_power(n: int, d: int) -> Graph:
@@ -164,7 +188,7 @@ def cycle_power(n: int, d: int) -> Graph:
             adj[i] |= 1 << ((i + step) % n)
             adj[i] |= 1 << ((i - step) % n)
         adj[i] &= ~(1 << i)
-    return Graph(n, adj)
+    return _graph(n, tuple(adj))
 
 
 def _parse_graph6(text: str) -> tuple[int, int]:
@@ -245,7 +269,7 @@ def graph6_order(text: str) -> int:
 def decode_graph6(text: str) -> Graph:
     """Decode one graph6 line; see `_parse_graph6` for the layout and checks."""
     n, bits = _parse_graph6(text)
-    return Graph(n, _triangle_rows(n, bits))
+    return _graph(n, tuple(_triangle_rows(n, bits)))
 
 
 def encode_graph6(g: Graph) -> str:

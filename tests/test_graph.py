@@ -269,10 +269,14 @@ def test_codec_round_trip(g):
 @settings(max_examples=100, deadline=None)
 @given(graphs(max_n=14))
 def test_pickle_round_trip(g):
-    # the sweep's process pool sends generated graphs to its workers this way
+    # the sweep's process pool sends generated graphs to its workers this
+    # way, before anything has read their neighbours
+    assert g._nbrs is None
     back = pickle.loads(pickle.dumps(g))
-    assert back == g
+    assert back == g and hash(back) == hash(g) and back._nbrs is None
     assert all(back.neighbors(v) == g.neighbors(v) for v in range(g.n))
+    again = pickle.loads(pickle.dumps(g))
+    assert again == g and all(again.neighbors(v) == g.neighbors(v) for v in range(g.n))
 
 
 @settings(max_examples=150, deadline=None)
@@ -396,3 +400,63 @@ def test_adjacency_symmetric_and_irreflexive(g):
         assert not g.has_edge(v, v)
         for u in g.neighbors(v):
             assert g.has_edge(u, v) and g.has_edge(v, u)
+
+
+# --- unchecked builders and neighbour tuples built on first read ---------------
+
+
+def _assert_checked_build(g, rows):
+    """g, fresh from a builder that does not check its rows, is the graph
+    the checking constructor builds from `rows`, and has built no neighbour
+    tuple yet."""
+    assert g._nbrs is None
+    assert type(g._adj) is tuple
+    assert g == Graph(len(rows), rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_unchecked_builders_equal_checked_builds(data):
+    n = data.draw(st.integers(min_value=0, max_value=14))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    drawn = data.draw(st.lists(st.tuples(st.sampled_from(pairs), st.booleans()))) if pairs else []
+    edges = [(j, i) if flip else (i, j) for (i, j), flip in drawn]
+    rows = [0] * n
+    for u, v in edges:
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    g = graph_from_edges(n, edges)
+    _assert_checked_build(g, rows)
+    full = (1 << n) - 1
+    _assert_checked_build(complement(g), [full & ~rows[v] & ~(1 << v) for v in range(n)])
+    _assert_checked_build(decode_graph6(encode_graph6(g)), rows)
+    kept = sorted(data.draw(st.sets(st.integers(min_value=0, max_value=n - 1)))) if n else []
+    sub, _ = induced_subgraph(g, kept)
+    _assert_checked_build(
+        sub, [sum(1 << i for i, u in enumerate(kept) if rows[v] >> u & 1) for v in kept]
+    )
+    if n >= 3:
+        d = data.draw(st.integers(min_value=1, max_value=n))
+        near = [
+            sum(1 << u for u in range(n) if u != v and min((u - v) % n, (v - u) % n) <= d)
+            for v in range(n)
+        ]
+        _assert_checked_build(cycle_power(n, d), near)
+
+
+def test_neighbor_tuples_are_built_on_first_read():
+    # equality, hashing, edges and pickling read the same graph whether or
+    # not its neighbour tuples have been built
+    for line in CORPUS_N8.read_text(encoding="ascii").splitlines():
+        g, unread = decode_graph6(line), decode_graph6(line)
+        assert g._nbrs is None
+        key, sent = hash(g), pickle.loads(pickle.dumps(g))
+        assert sent == g and sent._nbrs is None
+        g.neighbors(0)
+        assert g._nbrs is not None and unread._nbrs is None
+        assert g == unread and unread == g and hash(g) == hash(unread) == key
+        assert sent == g and hash(sent) == key
+        assert list(unread.edges()) == list(g.edges()) == list(sent.edges())
+        back = pickle.loads(pickle.dumps(g))
+        assert back == g and hash(back) == key
+        assert all(back.neighbors(v) == g.neighbors(v) for v in range(g.n))

@@ -28,7 +28,7 @@ from chidelta.certificate import (
     serialize_certificate,
     verify_certificate,
 )
-from chidelta.coloring import chromatic_number
+from chidelta.coloring import _peel, chromatic_number
 from chidelta.graph import (
     Graph,
     complement,
@@ -121,6 +121,42 @@ def _code(g):
 
 def _canonical(g):
     return tuple(graph_mod._triangle_rows(g.n, _code(g)))
+
+
+def test_decoded_and_generated_graphs_equal_checked_builds(monkeypatch):
+    # decoding and generation build their rows symmetric by construction and
+    # never go through the checking constructor
+    def refuse(self, n, adj):
+        raise AssertionError("Graph.__init__ called")
+
+    with monkeypatch.context() as m:
+        m.setattr(Graph, "__init__", refuse)
+        decoded = [decode_graph6(line) for line in CORPUS_N8.read_text(encoding="ascii").splitlines()]
+        generated = [g for n in range(1, 9) for g in generate_connected_graphs(n)]
+    assert len(decoded) == len(generated) == 12113
+    for g in decoded + generated:
+        rows = _rows(g)
+        assert g._nbrs is None
+        assert g == Graph(g.n, rows)
+        assert all(
+            g.neighbors(v) == tuple(u for u in range(g.n) if rows[v] >> u & 1) for v in range(g.n)
+        )
+
+
+def test_filter_builds_no_neighbor_tuples_on_an_empty_core():
+    # a corpus graph whose (delta - 1)-core is empty is ruled out by the
+    # sweep's reads of its bitmasks alone
+    ruled_out = 0
+    for line in CORPUS_N8.read_text(encoding="ascii").splitlines():
+        g = decode_graph6(line)
+        delta = graph_mod.max_degree(g)
+        if delta < 2 or _peel(g, delta - 1, list(range(g.n))):
+            continue
+        assert encode_graph6(g) == line and is_connected(g)
+        assert not sweep_mod._in_cohort(g)
+        assert g._nbrs is None, line
+        ruled_out += 1
+    assert ruled_out > 0
 
 
 def test_search_code_is_the_graph6_bit_vector():

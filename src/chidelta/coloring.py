@@ -307,9 +307,10 @@ def extract_vertex_critical(g: Graph, chi: int) -> tuple[frozenset[int], dict[in
     and the colorings that kept its vertices.
 
     Takes the chromatic number chi of g from the caller, which has it
-    already; then one scan in ascending vertex order deletes every vertex
-    whose removal keeps chi.  Deleting vertices never raises chi, so v can
-    go exactly when the remaining vertices admit no (chi - 1)-coloring.
+    already (an empty g or a chi below 1 raises ValueError); then one scan
+    in ascending vertex order deletes every vertex whose removal keeps chi.
+    Deleting vertices never raises chi, so v can go exactly when the
+    remaining vertices admit no (chi - 1)-coloring.
     That is decided as `is_k_colorable` decides it: peel to the
     (chi - 1)-core; an empty core is coloured at once, a greedy clique of
     more than chi - 1 vertices refutes the core, and otherwise one exact
@@ -353,6 +354,8 @@ def extract_vertex_critical(g: Graph, chi: int) -> tuple[frozenset[int], dict[in
     """
     if g.n == 0:
         raise ValueError("empty graph")
+    if chi < 1:
+        raise ValueError("chromatic number must be at least 1")
     k = chi - 1
     keep = list(range(g.n))
     unpeeled = min_degree(g) >= chi  # nothing deleted yet, and no trial can peel

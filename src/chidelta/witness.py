@@ -168,23 +168,25 @@ def neighborhood_split(
 
 def split_attachment_check(
     g: Graph, split: tuple[tuple[int, int], frozenset[int]], a: int
-) -> None:
-    """Check that the A-vertex `a` of the split (A, B) sees all of B but one.
+) -> int:
+    """The one B-vertex that the A-vertex `a` of the split (A, B) misses.
 
-    Any count but |B| - 1 raises ContractError; a smaller one means an
-    earlier probe should have fired.  Full attachment, |B|, would close a
-    clique K of size |B| + 2 on B + {a, centre}.  On the d-regular
-    vertex-critical g the split sweep runs on, B is N(centre) minus the two
-    A-vertices, so K has size d.  K is not d-regular, so it is a proper
-    subgraph, and its chromatic number d equals that of g, which
-    contradicts vertex-criticality.
+    Any count of neighbours in B but |B| - 1 raises ContractError, as does
+    an `a` outside A; a smaller count means an earlier probe should have
+    fired.  Full attachment, |B|, would close a clique K of size |B| + 2 on
+    B + {a, centre}.  On the d-regular vertex-critical g the split sweep
+    runs on, B is N(centre) minus the two A-vertices, so K has size d.  K
+    is not d-regular, so it is a proper subgraph, and its chromatic number
+    d equals that of g, which contradicts vertex-criticality.
     """
     a_pair, b = split
     if a not in a_pair:
         raise ContractError(f"vertex {a} is not in the split's A pair")
-    count = (g.adjacency_mask(a) & _mask(b)).bit_count()
-    if count != len(b) - 1:
+    missed = _mask(b) & ~g.adjacency_mask(a)
+    if missed.bit_count() != 1:
+        count = len(b) - missed.bit_count()
         raise ContractError(f"vertex {a} has {count} neighbours in B, expected {len(b) - 1}")
+    return missed.bit_length() - 1
 
 
 def _mask(verts) -> int:
@@ -199,39 +201,28 @@ def path_quad(
 ) -> tuple[int, int, int, int]:
     """The induced path (a1, b1, b2, a2) among the centre's neighbours.
 
-    (a1, a2) is the split's A pair, b2 the unique B-vertex missed by a1 and
-    b1 the unique one missed by a2; together with A's non-adjacency and B's
-    cliqueness the four vertices induce exactly that path.  Every condition
-    is re-checked, and a failed one raises ContractError.
+    b2 is the B-vertex that a1 misses, as its attachment check returns it,
+    and b1 the one a2 misses.  Once b1 != b2, those two misses settle four
+    of the six pairs, so only a1 !~ a2 and b1 ~ b2 are tested; a failed
+    check, b1 == b2 or a failed test raises ContractError.
     """
-    (a1, a2), b = split
-    missed1 = sorted(b - set(g.neighbors(a1)))
-    missed2 = sorted(b - set(g.neighbors(a2)))
-    if len(missed1) != 1 or len(missed2) != 1:
-        raise ContractError(
-            f"A-vertices miss {len(missed1)} and {len(missed2)} B-vertices, expected 1 and 1"
-        )
-    b2, b1 = missed1[0], missed2[0]
+    (a1, a2), _ = split
+    b2 = split_attachment_check(g, split, a1)
+    b1 = split_attachment_check(g, split, a2)
     if b1 == b2:
         raise ContractError(f"vertex {b1} is attached to neither A-vertex")
     quad = (a1, b1, b2, a2)
-    want = {(a1, b1), (b1, b2), (b2, a2)}
-    for i in range(4):
-        for j in range(i + 1, 4):
-            u, w = quad[i], quad[j]
-            present = g.has_edge(u, w)
-            expected = (u, w) in want or (w, u) in want
-            if present != expected:
-                raise ContractError(f"induced structure on {quad} is not the expected path")
+    if g.has_edge(a1, a2) or not g.has_edge(b1, b2):
+        raise ContractError(f"induced structure on {quad} is not the expected path")
     return quad
 
 
 def _quads(
     g: Graph, colorings: dict[int, Coloring]
 ) -> dict[int, tuple[int, int, int, int]] | HighOddHoleWitness:
-    # The path quad at every vertex, in vertex order: split, both attachment
-    # checks, then the quad.  The first hole ends it.  `colorings` holds the
-    # critical scan's coloring of g - v for every v.
+    # The path quad at every vertex, in vertex order: split, then quad.  The
+    # first hole ends it.  `colorings` holds the critical scan's coloring of
+    # g - v for every v.
     quads: dict[int, tuple[int, int, int, int]] = {}
     for v in range(g.n):
         if v not in colorings:
@@ -239,8 +230,6 @@ def _quads(
         split = neighborhood_split(g, v, colorings[v])
         if isinstance(split, HighOddHoleWitness):
             return split
-        for a in split[0]:
-            split_attachment_check(g, split, a)
         quads[v] = path_quad(g, split)
     return quads
 
@@ -254,14 +243,16 @@ def trace_squared_cycle(
     hole a split closes on the way is returned, and the first contradiction
     raises ContractError.  Then walks one vertex per step from vertex 0 to
     the B-vertex b1 of its quad: each next vertex is the B-vertex of the
-    current vertex's quad that is not the previous one.  The walk must visit
-    every vertex exactly once, and every vertex's neighbourhood must then be
-    that of its walk position in the square of the n-cycle; a failed check
-    raises ContractError.  The result is the walk itself, the vertex at each
-    position: the only such labeling with vertex 0 at position 0 and b1 at
-    position 1.  `colorings` must hold, for every v, the 3-coloring of g - v
-    that `extract_vertex_critical` returned; a missing one is a
-    ContractError naming v.
+    current vertex's quad that is not the previous one.  Every walk vertex's
+    neighbourhood must then be that of its walk position in the square of
+    the n-cycle, or ContractError is raised.  This check alone rejects a
+    walk that revisits a vertex: g is connected, so a vertex the walk misses
+    has a neighbour on the walk, whose position neighbourhood lacks it.
+    The result is the walk itself, the vertex at each position: the only
+    such labeling with vertex 0 at position 0 and b1 at position 1.
+    `colorings` must hold, for every v, the 3-coloring of g - v that
+    `extract_vertex_critical` returned; a missing one is a ContractError
+    naming v.
     """
     if g.n == 0 or not is_connected(g):
         raise ContractError("graph must be connected and nonempty")
@@ -275,8 +266,6 @@ def trace_squared_cycle(
     while len(walk) < n:
         _, b1, b2, _ = quads[walk[-1]]
         walk.append(b2 if b1 == walk[-2] else b1)
-    if len(set(walk)) != n:
-        raise ContractError("walk along the quads revisits a vertex before closing")
     for p, u in enumerate(walk):
         if g.adjacency_mask(u) != _mask(walk[(p + s) % n] for s in (-2, -1, 1, 2)):
             raise ContractError(f"neighbours of {u} disagree with its position {p}")
@@ -358,17 +347,17 @@ def find_witness(g: Graph) -> Certificate:
     ContractError: a wrong clique fails verification, and a bad regular
     branch fails the neighbourhood split, the quads or the trace.
 
-    The regular g gets the path quad at every vertex, in vertex order:
-    neighbourhood split, both attachment checks and the quad, where the
-    first hole a split closes wins.  Each split requires the coloring of
-    g - v that the critical scan found when it kept v, so no g - v is
-    coloured twice; on this branch the scan deleted nothing and no trial
-    set peeled, so it stored one for every v.  At degree 4 that sweep is the
-    first half of
-    `trace_squared_cycle`, whose walk, the vertex at each position of the
-    squared cycle, then yields the explicit hole (or the complement of C7),
-    unless a split already closed one; at degree >= 5 a silent sweep falls
-    back to the brute-force oracle.
+    The regular g gets the path quad at every vertex, in vertex order: the
+    neighbourhood split, then the quad, read off the attachment checks of
+    the split's two A-vertices; the first hole a split closes wins.  Each
+    split requires the coloring of g - v that the critical scan found when
+    it kept v, so no g - v is coloured twice; on this branch the scan
+    deleted nothing and no trial set peeled, so it stored one for every v.
+    At degree 4 that sweep is the first half of `trace_squared_cycle`,
+    whose walk, the vertex at each position of the squared cycle, then
+    yields the explicit hole (or the complement of C7), unless a split
+    already closed one; at degree >= 5 a silent sweep falls back to the
+    brute-force oracle.
 
     The proof route's one check: the certificate is verified against g before
     it is returned, and a rejection raises ContractError.

@@ -284,6 +284,19 @@ def test_extract_critical_k4_plus_pendant():
     assert _critical(g) == {0, 1, 2, 3}
 
 
+@pytest.mark.parametrize("chi", [0, -1])
+def test_extract_critical_rejects_a_chromatic_number_below_one(chi):
+    # as find_k_coloring and is_k_colorable reject a palette below 1;
+    # unchecked, both values return a meaningless "critical" set of C7^2
+    with pytest.raises(ValueError, match="chromatic number must be at least 1"):
+        extract_vertex_critical(cycle_power(7, 2), chi)
+
+
+def test_extract_critical_accepts_chromatic_number_one():
+    # an edgeless graph is 1-chromatic; one vertex is its critical subgraph
+    assert extract_vertex_critical(graph_from_edges(3, []), 1)[0] == {2}
+
+
 def test_extract_critical_single_scan(monkeypatch):
     # one chromatic number for the whole graph plus one per vertex, no rescans
     g = graph_from_edges(5, [(i, j) for i in range(4) for j in range(i + 1, 4)] + [(3, 4)])

@@ -776,3 +776,32 @@ def test_sweep_rejects_nonpositive_jobs(jobs):
 def test_sweep_rejects_bad_order_range(min_n, max_n, corpus, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         theorem_sweep(max_n, "both", min_n=min_n, corpus=corpus)
+
+
+def test_same_report_ignores_only_jobs_and_seconds(tmp_path):
+    # the comparison CI runs on sweep reports: `jobs` and per-order
+    # `seconds` may differ, any other field may not, and both must be ok
+    import same_report
+
+    pinned = Path(__file__).resolve().parent / "data" / "sweep9_report.json"
+
+    def edited(name, edit):
+        report = json.loads(pinned.read_text(encoding="utf-8"))
+        edit(report)
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(report), encoding="utf-8")
+        return str(path)
+
+    def timing(r):
+        r["jobs"] = 7
+        for o in r["orders"]:
+            o["seconds"] = 123.0
+
+    def count(r):
+        r["orders"][0]["graphs"] += 1
+
+    assert same_report.main([str(pinned), edited("timing", timing)]) == 0
+    assert same_report.main([str(pinned), edited("count", count)]) == 1
+    failed = edited("failed", lambda r: r.update(ok=False))
+    assert same_report.main([failed, failed]) == 1
+    assert same_report.main([str(pinned)]) == 2

@@ -357,12 +357,12 @@ def test_attachment_search_matches_the_full_chain_reference_on_any_colouring():
 def test_split_attachment_counts():
     g10 = cycle_power(10, 2)
     s10 = _split(g10, 0)
-    # each A-vertex sees |B| - 1 = 1 of B: no contradiction
-    assert split_attachment_check(g10, s10, 2) is None
-    assert split_attachment_check(g10, s10, 8) is None
+    # each A-vertex sees |B| - 1 = 1 of B and returns the one it misses
+    assert split_attachment_check(g10, s10, 2) == 9
+    assert split_attachment_check(g10, s10, 8) == 1
     g7 = cycle_power(7, 2)
     s7 = _split(g7, 0)
-    assert split_attachment_check(g7, s7, 2) is None
+    assert split_attachment_check(g7, s7, 2) == 6
 
 
 def test_split_attachment_rejects_a_wrong_count():
@@ -405,7 +405,7 @@ def test_path_quads_on_squared_cycles(n, quad):
 @pytest.mark.parametrize(
     "a,b,reason",
     [
-        ((2, 8), {1, 5, 9}, "A-vertices miss 2 and 2 B-vertices, expected 1 and 1"),
+        ((2, 8), {1, 5, 9}, "vertex 2 has 1 neighbours in B, expected 2$"),
         ((2, 8), {0, 5}, "vertex 5 is attached to neither A-vertex"),
         ((2, 3), {0, 5}, r"induced structure on \(2, 0, 5, 3\) is not the expected path"),
     ],
@@ -414,6 +414,63 @@ def test_path_quad_rejects_fabricated_splits(a, b, reason):
     # splits of C10^2 at 0 that no valid instance yields
     with pytest.raises(ContractError, match=reason):
         path_quad(cycle_power(10, 2), (a, frozenset(b)))
+
+
+def _path_quad_reference(g, split):
+    # every condition checked in full: each A-vertex misses exactly one
+    # B-vertex, the two misses differ, and all six pairs of (a1, b1, b2, a2)
+    # induce the path a1-b1-b2-a2; the quad, or None where a check fails
+    (a1, a2), b = split
+    missed1 = sorted(b - set(g.neighbors(a1)))
+    missed2 = sorted(b - set(g.neighbors(a2)))
+    if len(missed1) != 1 or len(missed2) != 1 or missed1 == missed2:
+        return None
+    quad = (a1, missed2[0], missed1[0], a2)
+    path = {frozenset(quad[i:i + 2]) for i in range(3)}
+    for u, w in itertools.combinations(quad, 2):
+        if g.has_edge(u, w) != (frozenset((u, w)) in path):
+            return None
+    return quad
+
+
+PATH_QUAD_INPUTS = (
+    [(str(n), cycle_power(n, 2)) for n in (10, 13, 16)]
+    + [("C7 complement", c7_complement())]
+    + [(name, g) for name, g in REGULAR_SWEEP_INPUTS if max_degree(g) >= 5]
+)
+
+
+@pytest.mark.parametrize(
+    "g", [g for _, g in PATH_QUAD_INPUTS], ids=[i for i, _ in PATH_QUAD_INPUTS]
+)
+def test_path_quad_matches_the_full_check_on_every_fabricated_split(g):
+    # every ordered pair A of neighbours of every v, with B = N(v) - A:
+    # path_quad raises exactly where the full check fails and otherwise
+    # returns its quad; on the Delta >= 5 circulants every split fails
+    outcomes = Counter()
+    for v in range(g.n):
+        nbrs = g.neighbors(v)
+        for a in itertools.permutations(nbrs, 2):
+            split = (a, frozenset(nbrs) - set(a))
+            want = _path_quad_reference(g, split)
+            if want is None:
+                with pytest.raises(ContractError):
+                    path_quad(g, split)
+            else:
+                assert path_quad(g, split) == want, (v, a)
+            outcomes[want is None] += 1
+    assert outcomes[True] and bool(outcomes[False]) == (max_degree(g) == 4)
+
+
+def test_path_quad_rejects_an_adjacent_a_pair():
+    # the 4-wheel: its rim is the path 0-2-3-1 closed by the edge 0 ~ 1, so at
+    # the hub 4 the split ((0, 1), {2, 3}) passes every check but a1 !~ a2,
+    # which no split of the graphs above isolates
+    g = graph_from_edges(5, [(0, 2), (2, 3), (3, 1), (1, 0)] + [(u, 4) for u in range(4)])
+    split = ((0, 1), frozenset({2, 3}))
+    assert _path_quad_reference(g, split) is None
+    with pytest.raises(ContractError, match=r"induced structure on \(0, 2, 3, 1\)"):
+        path_quad(g, split)
 
 
 # --- squared-cycle trace ---------------------------------------------------------------
@@ -548,6 +605,24 @@ def test_trace_and_witness_pinned_on_relabelled_squares(n, copy, position, cert)
     g = _relabelled_square(n, copy)
     assert _trace(g) == tuple(sorted(range(n), key=position.__getitem__))
     assert find_witness(g) == cert
+
+
+def test_trace_rejects_a_walk_that_revisits_a_vertex(monkeypatch):
+    # the quad of the walk's second vertex w is rewritten to (x, 0, 0, y),
+    # so the walk turns back from w to vertex 0 and misses some vertex; the
+    # position check alone must still reject it
+    original = witness_mod._quads
+
+    def turning_back(g, colorings):
+        quads = original(g, colorings)
+        w = quads[0][1]
+        x, _, _, y = quads[w]
+        quads[w] = (x, 0, 0, y)
+        return quads
+
+    monkeypatch.setattr(witness_mod, "_quads", turning_back)
+    with pytest.raises(ContractError, match="disagree with its position"):
+        _trace(cycle_power(13, 2))
 
 
 def test_trace_on_c7_complement():

@@ -12,7 +12,9 @@ is kept (B. D. McKay, "Isomorph-free exhaustive generation", J. Algorithms
   partition, one ordering with that code (the best leaf) and automorphisms
   found on the way.  Any two orderings with the least code differ by an
   automorphism.  A class is represented by the graph decoded from its code,
-  so the representative depends only on the class.
+  so the representative depends only on the class.  A level is held as the
+  array of its classes' codes, 8 bytes per class: a parent is decoded when
+  it is extended, and a child when it is yielded.
 - Canonical deletion.  In a graph C, take the non-cut vertices whose
   invariant (degree, then the sum of the neighbours' degrees) is largest,
   and among them the one the best leaf places last.  An isomorphism carries
@@ -51,10 +53,11 @@ with OEIS A001349.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .graph import Graph, _graph, _triangle_rows
 
+# A level's codes have n(n - 1)/2 bits, so its array's 64-bit words hold them up to n = 11.
 GENERATION_CAP = 9
 
 
@@ -227,9 +230,12 @@ def _components(adj: tuple[int, ...], keep: int) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def _connected_level(n: int) -> tuple[tuple[int, ...], ...]:
-    """One adjacency tuple per isomorphism class of connected graphs on n
-    vertices, each in canonical form: the graph decoded from its `_search` code.
+def _connected_level(n: int) -> Sequence[int]:
+    """The `_search` code of each isomorphism class of connected graphs on n
+    vertices, in emission order, as an `array("Q")` of 64-bit words (8 bytes
+    per class; a code has n(n - 1)/2 bits).  The class's representative is the
+    graph `_triangle_rows` decodes from its code.  The array is cached and
+    shared: callers read it and never change it.
 
     Each representative P of level n - 1 gets a new vertex w = n - 1 joined to
     each mask least in its orbit under P's automorphisms, and the child C is
@@ -243,12 +249,15 @@ def _connected_level(n: int) -> tuple[tuple[int, ...], ...]:
     compared with w.  The module docstring shows that this emits every class
     exactly once.
     """
+    from array import array  # loaded only where graphs are generated
+
     if n == 1:
-        return ((0,),)
-    out: list[tuple[int, ...]] = []
+        return array("Q", (0,))
+    out = array("Q")
     new = n - 1
     everyone = (1 << new) - 1
-    for parent in _connected_level(new):
+    for parent_code in _connected_level(new):
+        parent = tuple(_triangle_rows(new, parent_code))
         degree = [row.bit_count() for row in parent]
         dsum = [0]  # dsum[m]: sum of the degrees of the vertices in mask m
         for d in degree:
@@ -290,13 +299,22 @@ def _connected_level(n: int) -> tuple[tuple[int, ...], ...]:
                     last = next(v for v in reversed(best_path) if tied >> v & 1)
                     if not _orbit(last, autos) >> new & 1:
                         continue
-                out.append(tuple(_triangle_rows(n, code)))
-    return tuple(out)
+                out.append(code)
+    return out
 
 
 def generate_connected_graphs(n: int) -> Iterator[Graph]:
-    """Stream one representative per isomorphism class of connected graphs on n vertices."""
+    """Stream one representative per isomorphism class of connected graphs on n vertices.
+
+    The order is checked here; the level is built and decoded as the
+    returned iterator is read.
+    """
     if not 1 <= n <= GENERATION_CAP:
         raise ValueError(f"order {n} outside supported range 1..{GENERATION_CAP}")
-    for adj in _connected_level(n):
-        yield _graph(n, adj)
+    return _representatives(n)
+
+
+def _representatives(n: int) -> Iterator[Graph]:
+    """Level n's representatives, each decoded from its code as it is read."""
+    for code in _connected_level(n):
+        yield _graph(n, tuple(_triangle_rows(n, code)))

@@ -50,6 +50,29 @@ def test_serial_use_never_loads_multiprocessing():
     assert done.stdout.strip() == "[False, False]"
 
 
+def test_witness_loads_neither_logging_nor_array():
+    # only the Δ ≥ 5 oracle fallback logs and only generation holds codes in
+    # an array, so importing the CLI and running a witness loads neither;
+    # a module the interpreter loaded before the CLI is not counted
+    script = (
+        "import contextlib, io, sys\n"
+        "before = {'logging', 'array'} & set(sys.modules)\n"
+        "import chidelta.cli as cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.cli_dispatch(['witness', '--graph', 'LzKWWKB?W@oBoB', '--method', 'both']) == 0\n"
+        "print(sorted({'logging', 'array'} & set(sys.modules) - before))\n"
+    )
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        check=True,
+    )
+    assert done.stdout.strip() == "[]"
+
+
 # --- witness ---------------------------------------------------------------
 
 

@@ -377,10 +377,32 @@ def test_pruning_a_complete_parent_is_fast():
 
 
 def test_generation_rejects_out_of_range():
+    # the order is checked at the call, before the iterator is read
+    for n in (0, 10):
+        with pytest.raises(ValueError):
+            generate_connected_graphs(n)
     with pytest.raises(ValueError):
         list(generate_connected_graphs(0))
     with pytest.raises(ValueError):
         list(generate_connected_graphs(10))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_levels_are_held_as_canonical_codes(n):
+    # each class is held as its graph6 bit vector, one 64-bit word, in
+    # emission order
+    level = generate_mod._connected_level(n)
+    assert level.itemsize == 8
+    assert list(level) == [
+        graph_mod._parse_graph6(encode_graph6(g))[1] for g in generate_connected_graphs(n)
+    ]
+
+
+def test_generation_cap_fits_a_code_word():
+    # a code of the top level has n(n - 1)/2 bits and must fit the level
+    # array's 64-bit words
+    cap = generate_mod.GENERATION_CAP
+    assert cap * (cap - 1) // 2 <= 64
 
 
 @pytest.mark.parametrize("n", range(1, 6))

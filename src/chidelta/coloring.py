@@ -12,6 +12,12 @@ data that can be copied and resumed: the critical-subgraph scan runs one
 search on its kept set and resumes each trial G - v from where that search
 first reached v.  A Kempe chain, a two-colour component of a proper partial
 colouring, is the frozenset of its vertices.
+
+Inside the module a vertex set is a bitmask, bit v set when v is in it, like
+the graph's adjacency rows: the colourability decision peels, bounds and
+searches on masks from start to end, and only a search lists its uncoloured
+vertices, in ascending order.  The public functions take vertex iterables and
+hand vertex sets out as frozensets.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from __future__ import annotations
 from bisect import insort
 from typing import Container, Iterable
 
-from .graph import Graph, min_degree
+from .graph import Graph, _bits, min_degree
 
 Coloring = tuple[int, ...]
 
@@ -40,7 +46,7 @@ def find_k_coloring(g: Graph, k: int, on: Iterable[int] | None = None) -> Colori
     """
     if k < 1:
         raise ValueError("palette size must be at least 1")
-    return _search(g, k, _start(g, k, _vertex_list(g, on)))
+    return _search(g, k, _start(g, k, _vertex_mask(g, on)))
 
 
 # A search in progress: the uncoloured vertices still to select (ascending),
@@ -50,9 +56,9 @@ def find_k_coloring(g: Graph, k: int, on: Iterable[int] | None = None) -> Colori
 _Run = tuple[list[int], list[int], list[int], list[int], list[tuple[int, int, int]]]
 
 
-def _start(g: Graph, k: int, free: list[int]) -> _Run:
-    # The search on the distinct ascending `free` before its first step.
-    return free, [0] * g.n, [0] * (g.n * (k + 1)), [0] * g.n, []
+def _start(g: Graph, k: int, inside: int) -> _Run:
+    # The search on the vertices of the bitmask `inside` before its first step.
+    return list(_bits(inside)), [0] * g.n, [0] * (g.n * (k + 1)), [0] * g.n, []
 
 
 def _search(g: Graph, k: int, run: _Run, pause: bytearray | None = None) -> Coloring | int | None:
@@ -117,50 +123,42 @@ def _search(g: Graph, k: int, run: _Run, pause: bytearray | None = None) -> Colo
                 sat[u] -= 1
 
 
-def _vertex_list(g: Graph, on: Iterable[int] | None) -> list[int]:
-    # The distinct vertices of `on` (default: all) in ascending order.
+def _vertex_mask(g: Graph, on: Iterable[int] | None) -> int:
+    # The vertices of `on` (default: all) as a bitmask.
     if on is None:
-        return list(range(g.n))
-    verts = sorted(set(on))
-    for v in verts:
+        return (1 << g.n) - 1
+    inside = 0
+    for v in on:
         if not 0 <= v < g.n:
             raise ValueError(f"vertex {v} out of range")
-    return verts
-
-
-def _greedy_clique(g: Graph, verts: list[int]) -> list[int]:
-    # Lower bound for the exact search on the subgraph induced by the
-    # distinct ascending `verts`; deterministic but heuristic.  Starts at
-    # the vertex with the most neighbours in `verts` (lowest id on ties),
-    # then keeps adding the candidate with the most candidate neighbours.
-    if not verts:
-        return []
-    adj = g.adjacency_mask
-    inside = 0
-    for v in verts:
         inside |= 1 << v
+    return inside
+
+
+def _greedy_clique(g: Graph, inside: int) -> int:
+    # Size of a clique in the subgraph induced by the bitmask `inside`: a
+    # lower bound for the exact search, deterministic but heuristic.  Starts
+    # at the vertex with the most neighbours inside (lowest id on ties),
+    # then keeps adding the candidate with the most candidate neighbours.
+    if not inside:
+        return 0
+    adj = g.adjacency_mask
     start, most = -1, -1
-    for v in verts:
+    for v in _bits(inside):
         d = (adj(v) & inside).bit_count()
         if d > most:
             start, most = v, d
-    clique = [start]
+    size = 1
     cand = adj(start) & inside
     while cand:
-        best = -1
-        best_score = -1
-        m = cand
-        while m:
-            low = m & -m
-            v = low.bit_length() - 1
-            m ^= low
+        best, best_score = -1, -1
+        for v in _bits(cand):
             score = (adj(v) & cand).bit_count()
             if score > best_score:
-                best_score = score
-                best = v
-        clique.append(best)
+                best, best_score = v, score
+        size += 1
         cand &= adj(best)
-    return clique
+    return size
 
 
 def _has_clique(g: Graph, size: int, mask: int) -> bool:
@@ -184,36 +182,30 @@ def _has_clique(g: Graph, size: int, mask: int) -> bool:
     return False
 
 
-def _peel(g: Graph, k: int, verts: list[int]) -> list[int]:
-    # The k-core of the subgraph induced by the distinct ascending `verts`,
-    # ascending.  A vertex with fewer than k neighbours can always be
-    # coloured last, so peel such vertices until none is left: the rest is
-    # k-colourable exactly when `verts` is.
+def _peel(g: Graph, k: int, inside: int) -> int:
+    # The k-core of the subgraph induced by the bitmask `inside`, as a mask.
+    # A vertex with fewer than k neighbours can always be coloured last, so
+    # peel such vertices until none is left: the rest is k-colourable
+    # exactly when `inside` is.
     adj = g.adjacency_mask
-    inside = 0
-    for v in verts:
-        inside |= 1 << v
-    core = verts
     while True:
-        left = []
-        for v in core:
-            if (adj(v) & inside).bit_count() >= k:
-                left.append(v)
-            else:
+        before = inside
+        for v in _bits(before):
+            if (adj(v) & inside).bit_count() < k:
                 inside ^= 1 << v
-        if len(left) == len(core):
-            return core
-        core = left
+        if inside == before:
+            return inside
 
 
-def _colorable(g: Graph, k: int, verts: list[int]) -> bool:
-    # Whether the distinct ascending `verts` have a k-coloring: an empty
-    # k-core is coloured at once, a greedy clique of more than k vertices
-    # refutes the core, and otherwise one exact search on the core decides.
-    core = _peel(g, k, verts)
+def _colorable(g: Graph, k: int, inside: int) -> bool:
+    # Whether the vertices of the bitmask `inside` have a k-coloring: an
+    # empty k-core is coloured at once, a greedy clique of more than k
+    # vertices refutes the core, and otherwise one exact search on the core
+    # decides.
+    core = _peel(g, k, inside)
     if not core:
         return True
-    return len(_greedy_clique(g, core)) <= k and _search(g, k, _start(g, k, core)) is not None
+    return _greedy_clique(g, core) <= k and _search(g, k, _start(g, k, core)) is not None
 
 
 def is_k_colorable(g: Graph, k: int, on: Iterable[int] | None = None) -> bool:
@@ -227,7 +219,7 @@ def is_k_colorable(g: Graph, k: int, on: Iterable[int] | None = None) -> bool:
     """
     if k < 1:
         raise ValueError("palette size must be at least 1")
-    return _colorable(g, k, _vertex_list(g, on))
+    return _colorable(g, k, _vertex_mask(g, on))
 
 
 def chromatic_number(g: Graph) -> int:
@@ -238,9 +230,9 @@ def chromatic_number(g: Graph) -> int:
     """
     if g.n == 0:
         raise ValueError("chromatic number of the empty graph")
-    verts = list(range(g.n))
-    k = len(_greedy_clique(g, verts))
-    while not _colorable(g, k, verts):
+    everything = (1 << g.n) - 1
+    k = _greedy_clique(g, everything)
+    while not _colorable(g, k, everything):
         k += 1
     return k
 
@@ -283,7 +275,7 @@ def shortest_path_in_chain(
         return (start,)
     parent: dict[int, int] = {start: -1}
     frontier = [start]
-    while frontier:
+    while True:
         discovered: dict[int, int] = {}
         for u in sorted(frontier):
             for w in g.neighbors(u):
@@ -299,7 +291,6 @@ def shortest_path_in_chain(
                 path.append(parent[path[-1]])
             return tuple(reversed(path))
         frontier = list(discovered)
-    return None
 
 
 def extract_vertex_critical(g: Graph, chi: int) -> tuple[frozenset[int], dict[int, Coloring]]:
@@ -351,32 +342,37 @@ def extract_vertex_critical(g: Graph, chi: int) -> tuple[frozenset[int], dict[in
     same run, so v goes.  A deletion changes keep and discards the run; the
     next unpeeled trial starts a new one.  Trials whose set peels search
     their core afresh.
+
+    The kept set, each trial set and its core are vertex bitmasks: trial v
+    is keep with bit v cleared (v is still kept, since only trial v deletes
+    it), a core that differs from its trial set has peeled, and the kept
+    set is handed out as a frozenset.
     """
     if g.n == 0:
         raise ValueError("empty graph")
     if chi < 1:
         raise ValueError("chromatic number must be at least 1")
     k = chi - 1
-    keep = list(range(g.n))
+    keep = (1 << g.n) - 1
     unpeeled = min_degree(g) >= chi  # nothing deleted yet, and no trial can peel
-    cliques = _has_clique(g, chi, (1 << g.n) - 1)  # a greedy clique could refute
+    cliques = _has_clique(g, chi, keep)  # a greedy clique could refute
     colorings: dict[int, Coloring] = {}
     run = None  # the search on `keep`, advanced lazily
     saved: dict[int, _Run] = {}  # its state just before u's first selection
     for v in range(g.n):
-        trial = [u for u in keep if u != v]
+        trial = keep ^ 1 << v  # v is still kept: only trial v deletes it
         if not trial:
             continue
         core = trial if unpeeled else _peel(g, k, trial)
         if not core:
             phi = (0,) * g.n
-        elif cliques and len(_greedy_clique(g, core)) > k:
+        elif cliques and _greedy_clique(g, core) > k:
             phi = None
-        elif len(core) < len(trial):
+        elif core != trial:
             phi = _search(g, k, _start(g, k, core))
         else:
             if run is None:
-                run = _start(g, k, keep[:])
+                run = _start(g, k, keep)
                 pending = bytearray(v) + b"\1" * (g.n - v)  # trials still to come
             while v not in saved:
                 u = _search(g, k, run, pending)
@@ -399,6 +395,6 @@ def extract_vertex_critical(g: Graph, chi: int) -> tuple[frozenset[int], dict[in
         if run is not None:
             pending[v] = 0  # its trial is over: no pause there, no state kept
             saved.pop(v, None)
-        if len(core) == len(trial):
+        if core == trial:
             colorings[v] = phi
-    return frozenset(keep), colorings
+    return frozenset(_bits(keep)), colorings

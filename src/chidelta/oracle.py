@@ -115,20 +115,16 @@ def is_c7_complement(g: Graph) -> tuple[int, ...] | None:
     """
     if g.n != 7 or any(g.degree(v) != 4 for v in range(7)):
         return None
+    # the complement is 2-regular, so the walk has one way on from each
+    # vertex, and it is one 7-cycle unless the walk returns to 0 early
     comp = complement(g)
-    if any(comp.degree(v) != 2 for v in range(7)):
-        return None
     order = [0, comp.neighbors(0)[0]]
     while len(order) < 7:
         tail, prev = order[-1], order[-2]
-        step = [u for u in comp.neighbors(tail) if u != prev]
-        if len(step) != 1:
+        step = next(u for u in comp.neighbors(tail) if u != prev)
+        if step in order:
             return None
-        if step[0] in order:
-            return None
-        order.append(step[0])
-    if not comp.has_edge(order[-1], 0):
-        return None
+        order.append(step)
     positions = [0] * 7
     for pos, v in enumerate(order):
         positions[v] = pos

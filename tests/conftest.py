@@ -230,7 +230,7 @@ def per_trial_critical_scan(g: Graph, chi: int) -> tuple[frozenset[int], dict[in
         core = [u for u in trial if inside >> u & 1]
         if not core:
             phi = (0,) * g.n
-        elif len(_greedy_clique(g, core)) > k:
+        elif _greedy_clique(g, inside) > k:
             phi = None
         else:
             phi = find_k_coloring(g, k, core)

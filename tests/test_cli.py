@@ -11,7 +11,7 @@ import pytest
 import chidelta.cli as cli_mod
 from chidelta.certificate import CliqueWitness, HighOddHoleWitness, serialize_certificate
 from chidelta.cli import EX_CONTRACT, EX_IOERR, EX_OK, EX_REJECT, EX_USAGE, cli_dispatch
-from chidelta.graph import cycle_power, encode_graph6
+from chidelta.graph import cycle_power, encode_graph6, graph_from_edges
 
 from conftest import c7_complement
 
@@ -111,6 +111,30 @@ def test_witness_both_agreement(capsys):
     obj = json.loads(out)
     assert obj["kinds_agree"] is True
     assert obj["proof"]["kind"] == obj["oracle"]["kind"] == "high_odd_hole"
+
+
+def test_witness_both_as_text(capsys):
+    line = encode_graph6(cycle_power(10, 2))
+    code, out, _ = run(capsys, "witness", "--graph", line, "--method", "both", "--format", "text")
+    assert code == EX_OK
+    proof, oracle = out.split("[oracle]\n")
+    assert proof.startswith("[proof]\n") and "kind: high_odd_hole" in proof
+    assert "kind: high_odd_hole" in oracle
+    assert out.endswith("kinds agree: yes\n")
+
+
+def test_witness_oracle_finds_nothing_on_k33(capsys):
+    # K_{3,3} has chi = 2 < delta = 3: no K_3, no odd hole, not the exception
+    k33 = graph_from_edges(6, [(i, j) for i in range(3) for j in range(3, 6)])
+    code, out, err = run(capsys, "witness", "--graph", encode_graph6(k33), "--method", "oracle")
+    assert code == EX_CONTRACT and out == ""
+    assert err == "error: oracle found no clique, high odd hole, or exceptional graph\n"
+
+
+def test_witness_on_the_empty_graph_is_a_contract_error(capsys):
+    code, out, err = run(capsys, "witness", "--graph", "?")
+    assert code == EX_CONTRACT and out == ""
+    assert err == "error: empty graph\n"
 
 
 @pytest.mark.parametrize("method", ["oracle", "both"])

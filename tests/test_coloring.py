@@ -1,5 +1,6 @@
 import random
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,6 +26,7 @@ from conftest import (
     path_n,
     random_graph,
     searched_vertices,
+    to_nx,
 )
 
 
@@ -435,8 +437,24 @@ def test_greedy_clique_matches_reference():
         g = random_graph(rng, n, rng.choice([0.2, 0.35, 0.5, 0.7, 0.85]))
         subset = [v for v in range(n) if rng.random() < 0.7]
         for verts in (list(range(n)), subset):
-            got = coloring_mod._greedy_clique(g, verts)
-            assert got == _greedy_clique_reference(g, verts), (n, sorted(g.edges()), verts)
+            got = coloring_mod._greedy_clique(g, sum(1 << v for v in verts))
+            assert got == len(_greedy_clique_reference(g, verts)), (n, sorted(g.edges()), verts)
+
+
+def test_peel_matches_networkx_k_core():
+    # the k-core of an induced subgraph, read off a vertex bitmask, against
+    # networkx's core on the same subgraph
+    rng = random.Random(6161)
+    for _ in range(300):
+        n = rng.randint(0, 14)
+        g = random_graph(rng, n, rng.choice([0.2, 0.35, 0.5, 0.7, 0.85]))
+        subset = [v for v in range(n) if rng.random() < 0.7]
+        for verts in (list(range(n)), subset):
+            sub = to_nx(g).subgraph(verts)
+            for k in range(n + 1):
+                want = sum(1 << v for v in nx.k_core(sub, k))
+                got = coloring_mod._peel(g, k, sum(1 << v for v in verts))
+                assert got == want, (n, sorted(g.edges()), verts, k)
 
 
 def test_has_clique_matches_the_oracle():
@@ -480,7 +498,7 @@ def _chromatic_number_reference(g):
     # reference: clique lower bound, greedy upper bound, exact searches between
     if g.edge_count() == 0:
         return 1
-    low = max(2, len(coloring_mod._greedy_clique(g, list(range(g.n)))))
+    low = max(2, coloring_mod._greedy_clique(g, (1 << g.n) - 1))
     high = _greedy_color_count_reference(g)
     for k in range(low, high):
         if find_k_coloring(g, k) is not None:

@@ -16,7 +16,7 @@ from chidelta.certificate import (
     verify_certificate,
 )
 from chidelta.coloring import find_k_coloring
-from chidelta.graph import cycle_power, graph_from_edges, max_degree
+from chidelta.graph import complement, cycle_power, graph_from_edges, max_degree
 from chidelta.oracle import (
     find_clique,
     find_high_odd_hole,
@@ -143,6 +143,10 @@ def test_c7_complement_rejects_other_four_regular():
     assert is_c7_complement(cycle_power(8, 2)) is None
     # 7 vertices but not 4-regular
     assert is_c7_complement(cycle_power(7, 1)) is None
+    # 4-regular on 7 vertices, but its complement is C3 plus C4, so the
+    # walk around the complement returns to vertex 0 after three steps
+    c3_c4 = graph_from_edges(7, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6), (6, 3)])
+    assert is_c7_complement(complement(c3_c4)) is None
 
 
 # --- verify_certificate ---------------------------------------------------------------
@@ -170,6 +174,8 @@ def test_verify_hole_accepts_c5():
 
 def test_verify_hole_rejects_in_order():
     c5 = cycle_power(5, 1)
+    v = verify_certificate(c5, HighOddHoleWitness((0, 1, 2, 3, 9)))
+    assert not v.ok and v.reason == "vertex out of range"
     v = verify_certificate(c5, HighOddHoleWitness((0, 1, 2)))
     assert not v.ok and "below 5" in v.reason
     v = verify_certificate(c5, HighOddHoleWitness((0, 1, 2, 4, 3)))
@@ -202,6 +208,10 @@ def test_verify_c7_certificate():
     assert not v.ok
     v = verify_certificate(k_n(4), good)
     assert not v.ok and "order" in v.reason
+    # one extra edge between cyclic positions 0 and 1
+    chorded = graph_from_edges(7, list(g.edges()) + [(0, 1)])
+    v = verify_certificate(chorded, good)
+    assert not v.ok and v.reason == "chord present: 0 ~ 1"
 
 
 def test_verify_rejects_every_certificate_on_the_empty_graph():
@@ -279,9 +289,10 @@ def test_package_imports_reads_every_import_form():
 def test_certificate_and_oracle_stay_off_the_proof_route():
     # the checker and the brute-force route share no code with the proof
     # route they check: certificate reads only graph, oracle only
-    # certificate and graph
+    # certificate and graph, and the proof route's colouring only graph
     def imports(module):
         return _package_imports((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
 
     assert imports("certificate") == {"graph"}
     assert imports("oracle") == {"certificate", "graph"}
+    assert imports("coloring") == {"graph"}

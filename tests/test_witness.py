@@ -129,6 +129,10 @@ def test_probe_contract_errors():
     g = k_n(4)
     with pytest.raises(ContractError):  # colour reappears on another neighbour
         kempe_adjacency_probe(g, 3, 0, 1, (1, 2, 1, 0))
+    # 5 is at cyclic distance 5 from 0 in C_10^2, so not a neighbour of 0
+    g = cycle_power(10, 2)
+    with pytest.raises(ContractError, match="^1 and 5 must both be neighbours of 0$"):
+        kempe_adjacency_probe(g, 0, 1, 5, find_k_coloring(g, 3, range(1, 10)))
 
 
 # --- degree-deficient probe --------------------------------------------------------
@@ -153,6 +157,23 @@ def test_deficient_probe_returns_clique_when_neighbourhood_complete():
 def test_deficient_probe_rejects_wrong_degree():
     with pytest.raises(ContractError):
         degree_deficient_probe(c7_complement(), 0)  # 4-regular: no deficient vertex
+
+
+def test_deficient_probe_rejects_an_input_that_is_not_critical():
+    # K4 plus vertex 4 joined to 0, 1 and 2: without 4, the K4 needs 4 colours
+    g = graph_from_edges(5, list(itertools.combinations(range(4), 2)) + [(4, 0), (4, 1), (4, 2)])
+    with pytest.raises(
+        ContractError, match=r"^graph minus 4 admits no \(3\)-coloring; input is not critical$"
+    ):
+        degree_deficient_probe(g, 4)
+
+
+def test_deficient_probe_rejects_a_coloring_that_extends():
+    # the star 0-{1, 2, 3, 4} plus vertex 5 joined to 1, 2 and 3: the star's
+    # leaves share a colour, so two colours are free at 5
+    g = graph_from_edges(6, [(0, u) for u in range(1, 5)] + [(5, 1), (5, 2), (5, 3)])
+    with pytest.raises(ContractError, match="^coloring extends to 5;"):
+        degree_deficient_probe(g, 5)
 
 
 # --- neighbourhood split ------------------------------------------------------------
@@ -183,6 +204,11 @@ def test_neighborhood_split_on_squared_cycles(n, v, want_a, want_b):
     assert out == (want_a, frozenset(want_b))
     # the expected split is the unique structurally valid one
     assert exhaustive_splits(g, v) == [(want_a, frozenset(want_b))]
+
+
+def test_neighborhood_split_rejects_a_maximum_degree_below_four():
+    with pytest.raises(ContractError, match="^maximum degree 3 below 4$"):
+        neighborhood_split(k_n(4), 0, (0, 1, 2, 3))
 
 
 def test_neighborhood_split_invariants():
@@ -625,6 +651,14 @@ def test_trace_rejects_a_walk_that_revisits_a_vertex(monkeypatch):
         _trace(cycle_power(13, 2))
 
 
+def test_trace_rejects_a_disconnected_graph():
+    twice = graph_from_edges(
+        20, [(u + shift, w + shift) for u, w in cycle_power(10, 2).edges() for shift in (0, 10)]
+    )
+    with pytest.raises(ContractError, match="^graph must be connected and nonempty$"):
+        trace_squared_cycle(twice, {})
+
+
 def test_trace_on_c7_complement():
     out = _trace(c7_complement())
     assert isinstance(out, tuple) and len(out) == 7
@@ -832,6 +866,8 @@ def test_find_witness_rejects_bad_inputs():
         find_witness(cycle_power(5, 1))  # odd cycle: chi = 3, delta = 2
     with pytest.raises(ContractError):
         find_witness(k_n(1))
+    with pytest.raises(ContractError, match="^empty graph$"):
+        find_witness(decode_graph6("?"))
 
 
 def test_find_witness_kind_can_differ_from_oracle():

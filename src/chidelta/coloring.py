@@ -25,7 +25,7 @@ from __future__ import annotations
 from bisect import insort
 from typing import Container, Iterable
 
-from .graph import Graph, _bits, min_degree
+from .graph import Graph, _bits
 
 Coloring = tuple[int, ...]
 
@@ -197,6 +197,25 @@ def _peel(g: Graph, k: int, inside: int) -> int:
             return inside
 
 
+def _peel_without(g: Graph, k: int, core: int, v: int) -> int:
+    # The k-core of the bitmask `core` minus v, where `core` is a k-core
+    # (v in it).  Removing v lowers only its neighbours' counts, and each
+    # later removal only its own neighbours', so a worklist seeded with N(v)
+    # meets every vertex that can drop below k.  The k-core is unique, so
+    # this is `_peel(g, k, core ^ 1 << v)`, found without a pass over core.
+    adj = g.adjacency_mask
+    inside = core ^ 1 << v
+    todo = adj(v) & inside
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        u = adj(low.bit_length() - 1) & inside
+        if u.bit_count() < k:
+            inside ^= low
+            todo |= u
+    return inside
+
+
 def _colorable(g: Graph, k: int, inside: int) -> bool:
     # Whether the vertices of the bitmask `inside` have a k-coloring: an
     # empty k-core is coloured at once, a greedy clique of more than k
@@ -310,14 +329,18 @@ def extract_vertex_critical(g: Graph, chi: int) -> tuple[frozenset[int], dict[in
     suffices: a vertex found necessary in a superset stays necessary in
     every later subset, so a rescan would delete nothing.
 
-    Two of those steps are skipped where they cannot act, and both skips
-    are exact.  While nothing is deleted and every vertex of g has at least
-    chi neighbours, a trial set lacks one vertex, so each of its vertices
-    keeps at least chi - 1 neighbours in it: the trial set is its own
-    (chi - 1)-core and is not peeled.  The first deletion ends that.  And
-    a greedy clique is a clique, so one of more than chi - 1 vertices is a
-    K_chi in g: one exact clique test per call, and if g has no K_chi (no
-    4-critical squared cycle has a K_4) no trial computes a greedy clique.
+    Both steps do only local work, and both shortcuts are exact.  The scan
+    keeps the (chi - 1)-core of the kept set, and the k-core is unique:
+    the core of keep - v is the core of (core of keep) - v.  So a trial
+    whose v is outside the kept set's core has that core as its own, and
+    otherwise a peel seeded with v's neighbours finds it, touching only
+    vertices whose count v's removal lowers.  On a graph of minimum degree
+    at least chi nothing peels, and each trial costs N(v).  And a greedy
+    clique is a clique, so one of more than chi - 1 vertices is a K_chi:
+    the first greedy clique that fails to refute its trial is followed by
+    one exact test for a K_chi in the kept set, and if there is none (no
+    4-critical squared cycle has a K_4) no later trial computes a greedy
+    clique.  Where a greedy clique refutes first, that test never runs.
 
     A kept vertex v is kept because the other remaining vertices have a
     (chi - 1)-coloring.  When peeling removed none of them, that coloring
@@ -339,14 +362,14 @@ def extract_vertex_critical(g: Graph, chi: int) -> tuple[frozenset[int], dict[in
     selected.  Trial v resumes from its copy with v removed, which is step
     for step the fresh search on keep - v, and the copy is dropped.  If the
     run on keep ends without selecting v, the search on keep - v is that
-    same run, so v goes.  A deletion changes keep and discards the run; the
-    next unpeeled trial starts a new one.  Trials whose set peels search
-    their core afresh.
+    same run, so v goes.  A deletion changes keep and its core and discards
+    the run; the next trial where nothing peels starts a new one.  Trials
+    whose set peels search their core afresh.
 
-    The kept set, each trial set and its core are vertex bitmasks: trial v
-    is keep with bit v cleared (v is still kept, since only trial v deletes
-    it), a core that differs from its trial set has peeled, and the kept
-    set is handed out as a frozenset.
+    The kept set, its core, each trial set and the trial's core are vertex
+    bitmasks: trial v is keep with bit v cleared (v is still kept, since
+    only trial v deletes it), a core that differs from its trial set has
+    peeled, and the kept set is handed out as a frozenset.
     """
     if g.n == 0:
         raise ValueError("empty graph")
@@ -354,8 +377,8 @@ def extract_vertex_critical(g: Graph, chi: int) -> tuple[frozenset[int], dict[in
         raise ValueError("chromatic number must be at least 1")
     k = chi - 1
     keep = (1 << g.n) - 1
-    unpeeled = min_degree(g) >= chi  # nothing deleted yet, and no trial can peel
-    cliques = _has_clique(g, chi, keep)  # a greedy clique could refute
+    base = _peel(g, k, keep)  # the k-core of keep
+    cliques = None  # whether keep has a K_chi, asked once a greedy clique fails
     colorings: dict[int, Coloring] = {}
     run = None  # the search on `keep`, advanced lazily
     saved: dict[int, _Run] = {}  # its state just before u's first selection
@@ -363,11 +386,11 @@ def extract_vertex_critical(g: Graph, chi: int) -> tuple[frozenset[int], dict[in
         trial = keep ^ 1 << v  # v is still kept: only trial v deletes it
         if not trial:
             continue
-        core = trial if unpeeled else _peel(g, k, trial)
+        core = _peel_without(g, k, base, v) if base >> v & 1 else base
         if not core:
             phi = (0,) * g.n
-        elif cliques and _greedy_clique(g, core) > k:
-            phi = None
+        elif cliques is not False and _greedy_clique(g, core) > k:
+            phi, cliques = None, True
         elif core != trial:
             phi = _search(g, k, _start(g, k, core))
         else:
@@ -386,9 +409,10 @@ def extract_vertex_critical(g: Graph, chi: int) -> tuple[frozenset[int], dict[in
             else:
                 state[0].remove(v)
                 phi = _search(g, k, state)
+        if cliques is None and core:  # this trial's greedy clique did not refute it
+            cliques = _has_clique(g, chi, keep)
         if phi is None:
-            keep = trial
-            unpeeled = False
+            keep, base = trial, core
             run = None
             saved.clear()
             continue

@@ -22,6 +22,7 @@ from .coloring import (
     chromatic_number,
     extract_vertex_critical,
     find_k_coloring,
+    is_k_colorable,
     kempe_chain,
     shortest_path_in_chain,
 )
@@ -130,7 +131,9 @@ def neighborhood_split(
     a breadth-first search from the B-vertex inside the union of the two
     colour classes, stopped at the first layer that meets A; it reaches
     only the B-vertex's component there, the Kempe chain, so the chain
-    itself is never built.
+    itself is never built.  Membership in that union is read off the
+    coloring, one vertex at a time, so no colour class is built either:
+    a split costs only the vertices its searches reach.
     """
     delta = max_degree(g)
     if delta < 4:
@@ -153,14 +156,25 @@ def neighborhood_split(
     if hole is not None:
         return hole
     for b in sorted(b_set, key=lambda u: phi[u]):
-        pair = (dup_color, phi[b])
-        classes = {u for u, c in enumerate(phi) if c in pair}
-        path = shortest_path_in_chain(g, classes, b, set(a_pair))
+        path = shortest_path_in_chain(g, _Classes(phi, (dup_color, phi[b])), b, set(a_pair))
         if path is None:
             raise ContractError(f"component of {b} misses both of {a_pair}; the coloring extends")
         if len(path) > 2:
             return HighOddHoleWitness(tuple(path) + (v,))
     return a_pair, frozenset(b_set)
+
+
+class _Classes:
+    # The vertices that `phi` colours with a colour of `pair`, as a container
+    # whose membership test reads one vertex's colour, so a search inside it
+    # costs only the vertices it reaches.
+    __slots__ = ("phi", "pair")
+
+    def __init__(self, phi: Coloring, pair: tuple[int, int]):
+        self.phi, self.pair = phi, pair
+
+    def __contains__(self, w: int) -> bool:
+        return self.phi[w] in self.pair
 
 
 def split_attachment_check(
@@ -328,6 +342,13 @@ def find_witness(g: Graph) -> Certificate:
     maximum degree: a clique of that size, a high odd hole, or identification
     of the complement of the 7-cycle.
 
+    Whether chi = Delta is decided without computing chi.  By Brooks'
+    theorem a connected graph that is neither complete nor an odd cycle has
+    chi <= Delta, so for it chi = Delta exactly when it has no
+    (Delta - 1)-coloring; a complete graph or an odd cycle has
+    chi = Delta + 1.  The exact chi is computed only to word the
+    ContractError that refuses the input.
+
     Dispatch: degree 2 yields an edge; degree 3 yields a triangle or the
     shortest odd cycle (chordless, since a chord would split off a shorter
     odd cycle, and triangle-free rules out length 3).  For degree d >= 4 the
@@ -373,9 +394,11 @@ def _derive_witness(g: Graph) -> Certificate:
     if not is_connected(g):
         raise ContractError("input graph is disconnected")
     delta = max_degree(g)
-    chi = chromatic_number(g)
-    if chi != delta:
-        raise ContractError(f"chromatic number {chi} != max degree {delta}")
+    low = min_degree(g)
+    complete = low == g.n - 1
+    odd_cycle = low == delta == 2 and g.n % 2
+    if complete or odd_cycle or is_k_colorable(g, delta - 1):  # Brooks
+        raise ContractError(f"chromatic number {chromatic_number(g)} != max degree {delta}")
     if delta == 2:
         return CliqueWitness(find_clique(g, 2))
     if delta == 3:
@@ -387,7 +410,7 @@ def _derive_witness(g: Graph) -> Certificate:
             raise ContractError("triangle-free 3-chromatic graph has no odd cycle")
         return HighOddHoleWitness(cycle)
 
-    kept, colorings = extract_vertex_critical(g, chi)
+    kept, colorings = extract_vertex_critical(g, delta)
     if len(kept) == delta:
         return CliqueWitness(kept)
     keep = sorted(kept)

@@ -443,7 +443,8 @@ def test_greedy_clique_matches_reference():
 
 def test_peel_matches_networkx_k_core():
     # the k-core of an induced subgraph, read off a vertex bitmask, against
-    # networkx's core on the same subgraph
+    # networkx's core on the same subgraph; and the seeded peel of a core
+    # minus any one of its vertices against both
     rng = random.Random(6161)
     for _ in range(300):
         n = rng.randint(0, 14)
@@ -453,8 +454,17 @@ def test_peel_matches_networkx_k_core():
             sub = to_nx(g).subgraph(verts)
             for k in range(n + 1):
                 want = sum(1 << v for v in nx.k_core(sub, k))
-                got = coloring_mod._peel(g, k, sum(1 << v for v in verts))
-                assert got == want, (n, sorted(g.edges()), verts, k)
+                core = coloring_mod._peel(g, k, sum(1 << v for v in verts))
+                assert core == want, (n, sorted(g.edges()), verts, k)
+                members = list(nx.k_core(sub, k))
+                for v in members:
+                    rest = core ^ 1 << v
+                    others = sub.subgraph(u for u in members if u != v)
+                    want = sum(1 << u for u in nx.k_core(others, k))
+                    got = coloring_mod._peel_without(g, k, core, v)
+                    assert got == coloring_mod._peel(g, k, rest) == want, (
+                        n, sorted(g.edges()), verts, k, v
+                    )
 
 
 def test_has_clique_matches_the_oracle():

@@ -10,11 +10,13 @@ beyond graph6's order limit, and small random graphs.  On C_n^2 with
 n = 2 (mod 3) the first trial, on all of the graph but vertex 0, deletes
 vertex 0.  Counted in neighbour reads, one per paint or unpaint, the scan
 must do no more search work than the reference anywhere, and strictly less
-on the squared cycles.  On the 4-critical ones it must also neither peel a
-trial set nor compute a greedy clique: neither can act on a K_4-free
-4-regular graph while nothing is deleted.  Where chi equals the maximum
-degree, the kept set must have the shape `find_witness` reads its branch
-off.
+on the squared cycles.  On the 4-critical ones no peel may remove a vertex
+and only the first trial may compute a greedy clique, the one that leads to
+the scan's single clique test: neither can act on a K_4-free 4-regular
+graph while nothing is deleted.  Where a greedy clique refutes a trial
+before one fails, the exact clique test must not run.  Where chi equals
+the maximum degree, the kept set must have the shape `find_witness` reads
+its branch off.
 """
 
 from __future__ import annotations
@@ -116,21 +118,47 @@ FOUR_CRITICAL_SQUARES = [n for n in range(10, 62) if n % 3 == 1] + [100, 199, 40
 
 @pytest.mark.parametrize("n", FOUR_CRITICAL_SQUARES)
 def test_scan_neither_peels_nor_bounds_a_critical_squared_cycle(monkeypatch, n):
-    # C_n^2 is 4-regular with chi = 4, so while nothing is deleted no trial
-    # can peel, and it has no K_4, so no greedy clique can refute a trial;
-    # the scan deletes nothing, so it pays for neither
+    # C_n^2 is 4-regular with chi = 4, so it is its own 3-core and no trial
+    # set peels, and it has no K_4, so no greedy clique can refute a trial:
+    # trial 0's greedy clique fails, the one clique test says no K_4, and
+    # from then on the scan pays for neither.  Every peel is recorded with
+    # what it removes, from all of C_n^2 or from C_n^2 - v
     calls = []
-    for name in ("_peel", "_greedy_clique"):
-        original = getattr(coloring_mod, name)
 
-        def counting(*args, _name=name, _original=original):
-            calls.append(_name)
-            return _original(*args)
+    def recording(name, original, *args):
+        got = original(*args)
+        if name == "_peel":
+            calls.append(("_peel", args[2] & ~got))
+        elif name == "_peel_without":
+            calls.append(("_peel_without", args[3], args[2] & ~got & ~(1 << args[3])))
+        else:
+            calls.append((name, got))
+        return got
 
-        monkeypatch.setattr(coloring_mod, name, counting)
+    for name in ("_peel", "_peel_without", "_greedy_clique", "_has_clique"):
+        monkeypatch.setattr(
+            coloring_mod, name, functools.partial(recording, name, getattr(coloring_mod, name))
+        )
     kept, colorings = extract_vertex_critical(cycle_power(n, 2), 4)
     assert kept == set(range(n)) and sorted(colorings) == list(range(n))
-    assert calls == []
+    trials = [("_peel_without", v, 0) for v in range(n)]
+    assert calls == (
+        [("_peel", 0), trials[0], ("_greedy_clique", 3), ("_has_clique", False)] + trials[1:]
+    )
+
+
+@pytest.mark.parametrize("d", [4, 5, 6])
+def test_scan_skips_the_clique_test_once_a_greedy_clique_refutes(monkeypatch, d):
+    # K_d with a pendant path of three vertices at vertex 0: the trials on
+    # the clique's vertices peel to nothing, and trial d, on the path, keeps
+    # all of K_d, whose greedy clique refutes it; that proves a K_d, so the
+    # exact clique test never runs
+    calls = []
+    original = coloring_mod._has_clique
+    monkeypatch.setattr(coloring_mod, "_has_clique", lambda *args: calls.append(args) or original(*args))
+    edges = [(i, j) for i in range(d) for j in range(i + 1, d)] + [(0, d), (d, d + 1), (d + 1, d + 2)]
+    kept, _ = extract_vertex_critical(graph_from_edges(d + 3, edges), d)
+    assert kept == set(range(d)) and calls == []
 
 
 @pytest.mark.parametrize(

@@ -572,9 +572,10 @@ def test_find_witness_colours_each_subgraph_once(monkeypatch, g):
 
 
 def test_find_witness_computes_chi_once(monkeypatch):
-    # find_witness hands its chi to the critical scan instead of recomputing it
-    import chidelta.coloring as coloring_mod
-
+    # find_witness decides chi = Delta with one (Delta - 1)-colourability
+    # test (Brooks' theorem) and hands Delta to the critical scan: a valid
+    # input never computes chi, and one that fails the contract (complete,
+    # an odd cycle, or chi < Delta) computes it once, only to word the error
     calls = []
     original = coloring_mod.chromatic_number
 
@@ -584,9 +585,42 @@ def test_find_witness_computes_chi_once(monkeypatch):
 
     monkeypatch.setattr(coloring_mod, "chromatic_number", counting)
     monkeypatch.setattr(witness_mod, "chromatic_number", counting)
-    g = cycle_power(16, 2)
-    assert isinstance(find_witness(g), HighOddHoleWitness)
-    assert calls == [16]
+    k5_minus_edge = graph_from_edges(5, [e for e in k_n(5).edges() if e != (0, 1)])
+    for g in (cycle_power(16, 2), cycle_power(7, 2), petersen(), path_n(5), k5_minus_edge):
+        find_witness(g)
+    assert calls == []
+    for g, message in [
+        (k_n(5), "chromatic number 5 != max degree 4"),
+        (cycle_power(5, 2), "chromatic number 5 != max degree 4"),
+        (cycle_power(7, 1), "chromatic number 3 != max degree 2"),
+        (cycle_power(9, 2), "chromatic number 3 != max degree 4"),
+        (path_n(2), "chromatic number 2 != max degree 1"),
+        (path_n(1), "chromatic number 1 != max degree 0"),
+    ]:
+        with pytest.raises(ContractError) as info:
+            find_witness(g)
+        assert str(info.value) == message
+        assert calls == [g.n]
+        calls.clear()
+
+
+def test_find_witness_contract_matches_chromatic_number_up_to_seven_vertices():
+    # Brooks' theorem: on every connected graph with n <= 7, find_witness
+    # refuses the input exactly when its chromatic number is not Delta
+    from chidelta.generate import generate_connected_graphs
+
+    seen = {True: 0, False: 0}
+    for n in range(1, 8):
+        for g in generate_connected_graphs(n):
+            valid = chromatic_number(g) == max_degree(g)
+            try:
+                find_witness(g)
+            except ContractError as err:
+                assert not valid and str(err).startswith("chromatic number"), (n, sorted(g.edges()))
+            else:
+                assert valid, (n, sorted(g.edges()))
+            seen[valid] += 1
+    assert seen == {True: 154, False: 996 - 154}
 
 
 def _relabelled_square(n, copy):

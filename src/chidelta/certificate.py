@@ -12,28 +12,64 @@ call it on every oracle certificate.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Callable, Union
+from collections.abc import Callable
 
 from .graph import Graph, max_degree
 
 
-@dataclass(frozen=True)
-class CliqueWitness:
+class _Value:
+    """An immutable value: its fields are its `__slots__`, set once by `__init__`.
+
+    Two values are equal exactly when they have one type and equal fields;
+    the hash, the repr, copies and pickles follow the fields.
+    """
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({args})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
+class CliqueWitness(_Value):
     """A clique whose size equals the maximum degree of the host graph."""
 
-    vertices: frozenset[int]
+    __slots__ = ("vertices",)
+
+    def __init__(self, vertices: frozenset[int]):
+        object.__setattr__(self, "vertices", vertices)
 
 
-@dataclass(frozen=True)
-class HighOddHoleWitness:
+class HighOddHoleWitness(_Value):
     """A chordless odd cycle (length >= 5) whose vertices all have degree >= max degree - 1."""
 
-    cycle: tuple[int, ...]
+    __slots__ = ("cycle",)
+
+    def __init__(self, cycle: tuple[int, ...]):
+        object.__setattr__(self, "cycle", cycle)
 
 
-@dataclass(frozen=True)
-class ExceptionalC7Complement:
+class ExceptionalC7Complement(_Value):
     """Identification of the complement of the 7-cycle.
 
     positions[v] is the place of vertex v along the complement-defining
@@ -41,20 +77,27 @@ class ExceptionalC7Complement:
     distance is 2 or 3.
     """
 
-    positions: tuple[int, ...]
+    __slots__ = ("positions",)
+
+    def __init__(self, positions: tuple[int, ...]):
+        object.__setattr__(self, "positions", positions)
 
 
-Certificate = Union[CliqueWitness, HighOddHoleWitness, ExceptionalC7Complement]
+Certificate = CliqueWitness | HighOddHoleWitness | ExceptionalC7Complement
 
 
 class SerializationError(ValueError):
     """Malformed certificate text, or an object that is not a certificate."""
 
 
-@dataclass(frozen=True)
-class Verdict:
-    ok: bool
-    reason: str | None = None
+class Verdict(_Value):
+    """Accept, or reject with the first violated condition; true when it accepts."""
+
+    __slots__ = ("ok", "reason")
+
+    def __init__(self, ok: bool, reason: str | None = None):
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "reason", reason)
 
     def __bool__(self) -> bool:
         return self.ok

@@ -23,7 +23,7 @@ hand vertex sets out as frozensets.
 from __future__ import annotations
 
 from bisect import insort
-from typing import Container, Iterable
+from collections.abc import Container, Iterable
 
 from .graph import Graph, _bits
 

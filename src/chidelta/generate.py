@@ -52,8 +52,8 @@ with OEIS A001349.
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from functools import lru_cache
-from typing import Iterator, Sequence
 
 from .graph import Graph, _graph, _triangle_rows
 

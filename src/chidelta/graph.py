@@ -11,7 +11,7 @@ nothing.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
 GRAPH6_HEADER = ">>graph6<<"
 GRAPH6_MAX_ORDER = 62

@@ -11,7 +11,7 @@ with the checker in `certificate`, where the types are defined.
 
 from __future__ import annotations
 
-from typing import Iterator
+from collections.abc import Iterator
 
 from .certificate import Certificate, CliqueWitness, ExceptionalC7Complement, HighOddHoleWitness
 # re-exported for bench/run.py, which imports the checker from here

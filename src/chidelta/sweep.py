@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass, field
-from typing import Iterable
+from collections.abc import Iterable
 
 # deserialize_certificate is re-exported: bench/run.py imports it from here.
 from .certificate import certificate_kind, deserialize_certificate, verify_certificate  # noqa: F401
@@ -34,27 +33,63 @@ class SweepError(RuntimeError):
         self.detail = detail
 
 
-@dataclass
 class OrderTally:
-    n: int
-    graphs: int = 0
-    cohort: int = 0
-    proof_kinds: dict[str, int] = field(default_factory=dict)
-    oracle_kinds: dict[str, int] = field(default_factory=dict)
-    kind_mismatches: int = 0
-    verification_failures: int = 0
-    exceptional: int = 0
-    seconds: float = 0.0
+    """What the sweep found at one order."""
+
+    def __init__(
+        self,
+        n: int,
+        graphs: int = 0,
+        cohort: int = 0,
+        proof_kinds: dict[str, int] | None = None,
+        oracle_kinds: dict[str, int] | None = None,
+        kind_mismatches: int = 0,
+        verification_failures: int = 0,
+        exceptional: int = 0,
+        seconds: float = 0.0,
+    ):
+        self.n = n
+        self.graphs = graphs
+        self.cohort = cohort
+        self.proof_kinds = {} if proof_kinds is None else proof_kinds
+        self.oracle_kinds = {} if oracle_kinds is None else oracle_kinds
+        self.kind_mismatches = kind_mismatches
+        self.verification_failures = verification_failures
+        self.exceptional = exceptional
+        self.seconds = seconds
+
+    def to_dict(self) -> dict:
+        return {
+            "n": self.n,
+            "graphs": self.graphs,
+            "cohort": self.cohort,
+            "proof_kinds": dict(sorted(self.proof_kinds.items())),
+            "oracle_kinds": dict(sorted(self.oracle_kinds.items())),
+            "kind_mismatches": self.kind_mismatches,
+            "verification_failures": self.verification_failures,
+            "exceptional": self.exceptional,
+            "seconds": self.seconds,
+        }
 
 
-@dataclass
 class SweepReport:
-    min_n: int
-    max_n: int
-    method: str
-    jobs: int
-    built_in_corpus: bool
-    orders: list[OrderTally] = field(default_factory=list)
+    """Per-order tallies of one sweep and how it was run."""
+
+    def __init__(
+        self,
+        min_n: int,
+        max_n: int,
+        method: str,
+        jobs: int,
+        built_in_corpus: bool,
+        orders: list[OrderTally] | None = None,
+    ):
+        self.min_n = min_n
+        self.max_n = max_n
+        self.method = method
+        self.jobs = jobs
+        self.built_in_corpus = built_in_corpus
+        self.orders = [] if orders is None else orders
 
     @property
     def total_graphs(self) -> int:
@@ -96,14 +131,7 @@ class SweepReport:
             "built_in_corpus": self.built_in_corpus,
             "ok": self.ok,
             "problems": self.problems(),
-            "orders": [
-                {
-                    **asdict(o),
-                    "proof_kinds": dict(sorted(o.proof_kinds.items())),
-                    "oracle_kinds": dict(sorted(o.oracle_kinds.items())),
-                }
-                for o in self.orders
-            ],
+            "orders": [o.to_dict() for o in self.orders],
         }
 
     def to_json(self) -> str:

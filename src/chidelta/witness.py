@@ -12,7 +12,7 @@ which is recognised explicitly.
 
 from __future__ import annotations
 
-from typing import Sequence
+from collections.abc import Sequence
 
 from .certificate import (
     Certificate, CliqueWitness, ExceptionalC7Complement, HighOddHoleWitness, verify_certificate

@@ -6,7 +6,8 @@ Run from the repository root:
 
 `jobs` and each order's `seconds` are blanked in both reports, since they
 depend on how the sweep was run, not on what it found; everything else must
-be equal, and both reports must be `ok`.  Exits non-zero, naming the two
+be equal, the top-level keys and each order's keys must come in the same
+order, and both reports must be `ok`.  Exits non-zero, naming the two
 files, otherwise.
 """
 
@@ -25,6 +26,10 @@ def _load(path: str) -> dict:
     return report
 
 
+def _key_order(report: dict) -> list[list[str]]:
+    return [list(report)] + [list(order) for order in report["orders"]]
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print("usage: python tests/same_report.py A.json B.json", file=sys.stderr)
@@ -32,6 +37,9 @@ def main(argv: list[str]) -> int:
     a, b = (_load(p) for p in argv)
     if a != b:
         print(f"sweep reports {argv[0]} and {argv[1]} differ", file=sys.stderr)
+        return 1
+    if _key_order(a) != _key_order(b):
+        print(f"sweep reports {argv[0]} and {argv[1]} differ in key order", file=sys.stderr)
         return 1
     if not a["ok"]:  # equal reports: b is ok exactly when a is
         print(f"sweep reports {argv[0]} and {argv[1]} are not ok", file=sys.stderr)

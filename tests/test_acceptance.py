@@ -7,7 +7,6 @@ audited) and its report is shared by the criteria that need it.
 
 import random
 import time
-from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -249,7 +248,7 @@ def test_generated_sweep_matches_corpus_replay(audited_sweep):
     replay = theorem_sweep(8, "both", jobs=1, corpus=CORPUS_N8.read_text(encoding="ascii").splitlines())
 
     def tallies(r):
-        return [{k: v for k, v in asdict(o).items() if k != "seconds"} for o in r.orders]
+        return [{k: v for k, v in o.items() if k != "seconds"} for o in r.to_dict()["orders"]]
 
     assert tallies(report) == tallies(replay)
     print(

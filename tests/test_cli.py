@@ -25,6 +25,7 @@ def run(capsys, *argv):
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+CORPUS_N8 = SRC.parent / "bench" / "data" / "connected_n8.g6"
 
 
 def test_serial_use_never_loads_multiprocessing():
@@ -68,6 +69,33 @@ def test_witness_loads_neither_logging_nor_array():
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
+        check=True,
+    )
+    assert done.stdout.strip() == "[]"
+
+
+def test_cli_loads_neither_dataclasses_inspect_nor_typing(tmp_path):
+    # -S keeps `site` and its .pth files from loading typing before the CLI
+    # does, so nothing is loaded before the import and the check is exact
+    cert = tmp_path / "cert.json"
+    cert.write_text(serialize_certificate(HighOddHoleWitness((0, 1, 2, 3, 4))))
+    corpus = tmp_path / "c.g6"
+    corpus.write_text("\n".join(CORPUS_N8.read_text().splitlines()[:10] + [C7C_LINE]) + "\n")
+    script = (
+        "import contextlib, io, sys\n"
+        "cert, corpus, c5 = sys.argv[1:]\n"
+        "import chidelta.cli as cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.cli_dispatch(['witness', '--graph', 'LzKWWKB?W@oBoB', '--method', 'both']) == 0\n"
+        "    assert cli.cli_dispatch(['verify', '--graph', c5, '--certificate', cert]) == 0\n"
+        "    assert cli.cli_dispatch(['sweep', '--max-n', '7', '--corpus', corpus]) == 0\n"
+        "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", script, str(cert), str(corpus), encode_graph6(cycle_power(5, 1))],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
         check=True,
     )
     assert done.stdout.strip() == "[]"

@@ -802,7 +802,8 @@ def test_sweep_rejects_bad_order_range(min_n, max_n, corpus, message):
 
 def test_same_report_ignores_only_jobs_and_seconds(tmp_path):
     # the comparison CI runs on sweep reports: `jobs` and per-order
-    # `seconds` may differ, any other field may not, and both must be ok
+    # `seconds` may differ, any other field or the order of the keys may
+    # not, and both must be ok
     import same_report
 
     pinned = Path(__file__).resolve().parent / "data" / "sweep9_report.json"
@@ -822,8 +823,16 @@ def test_same_report_ignores_only_jobs_and_seconds(tmp_path):
     def count(r):
         r["orders"][0]["graphs"] += 1
 
+    def top_keys(r):
+        r["ok"] = r.pop("ok")
+
+    def order_keys(r):
+        r["orders"][-1]["n"] = r["orders"][-1].pop("n")
+
     assert same_report.main([str(pinned), edited("timing", timing)]) == 0
     assert same_report.main([str(pinned), edited("count", count)]) == 1
+    assert same_report.main([str(pinned), edited("top_keys", top_keys)]) == 1
+    assert same_report.main([str(pinned), edited("order_keys", order_keys)]) == 1
     failed = edited("failed", lambda r: r.update(ok=False))
     assert same_report.main([failed, failed]) == 1
     assert same_report.main([str(pinned)]) == 2

@@ -10,8 +10,10 @@ the vertex it paints or unpaints, and backtracks over an explicit stack of
 bounded by the interpreter's recursion limit.  A search in progress is plain
 data that can be copied and resumed: the critical-subgraph scan runs one
 search on its kept set and resumes each trial G - v from where that search
-first reached v.  A Kempe chain, a two-colour component of a proper partial
-colouring, is the frozenset of its vertices.
+first reached v; once the scan has deleted a vertex, it proves later
+vertices kept by recolouring a colouring it already has.  A Kempe chain, a
+two-colour component of a proper partial colouring, is the frozenset of its
+vertices.
 
 Inside the module a vertex set is a bitmask, bit v set when v is in it, like
 the graph's adjacency rows: the colourability decision peels, bounds and
@@ -23,7 +25,7 @@ hand vertex sets out as frozensets.
 from __future__ import annotations
 
 from bisect import insort
-from collections.abc import Container, Iterable
+from collections.abc import Container, Iterable, Iterator
 
 from .graph import Graph, _bits
 
@@ -312,6 +314,31 @@ def shortest_path_in_chain(
         frontier = list(discovered)
 
 
+def _recolorings(g: Graph, colors: list[int], v: int, later: int) -> Iterator[int]:
+    # Vertices proven kept by recolouring, from `colors`, a proper colouring
+    # of exactly keep - v (0 elsewhere).  If u is the only neighbour of v
+    # coloured c, then v coloured c with u uncoloured is a colouring of
+    # exactly keep - u with the same palette, so u is kept; the step then
+    # repeats from u.  Steps go only into the bitmask `later`, to its lowest
+    # vertex that qualifies, and never twice to one vertex.  Yields each u
+    # with `colors` changed in place to that colouring of keep - u.
+    adj = g.adjacency_mask
+    while True:
+        owner: dict[int, int] = {}  # colour -> its only neighbour of v, or -1
+        for u in _bits(adj(v)):
+            c = colors[u]
+            if c:
+                owner[c] = -1 if c in owner else u
+        step = [u for u in owner.values() if u >= 0 and later >> u & 1]
+        if not step:
+            return
+        u = min(step)
+        colors[v], colors[u] = colors[u], 0
+        later ^= 1 << u
+        yield u
+        v = u
+
+
 def extract_vertex_critical(g: Graph, chi: int) -> tuple[frozenset[int], dict[int, Coloring]]:
     """Vertex set of a vertex-critical subgraph with the same chromatic number,
     and the colorings that kept its vertices.
@@ -343,13 +370,27 @@ def extract_vertex_critical(g: Graph, chi: int) -> tuple[frozenset[int], dict[in
     clique.  Where a greedy clique refutes first, that test never runs.
 
     A kept vertex v is kept because the other remaining vertices have a
-    (chi - 1)-coloring.  When peeling removed none of them, that coloring
-    covers the whole trial set, and it is returned in the dict under v.
-    When no vertex before v was deleted, it is the coloring of g - v that
+    (chi - 1)-coloring.  While no trial has deleted a vertex, when peeling
+    removed none of them, that coloring covers the whole trial set g - v,
+    and it is returned in the dict under v: the coloring of g - v that
     `find_k_coloring(g, chi - 1, others)` returns.  If the scan deletes
     nothing from a chi-regular g, no trial set peels either (each of its
     vertices keeps at least chi - 1 neighbours), so the coloring of g - v is
-    returned for every v: the regular branch of the proof route relies on it.
+    returned for every v: the regular branch of the proof route relies on
+    it, and reads the dict nowhere else.
+
+    Once a trial has deleted a vertex, no coloring is stored.  Instead a
+    kept trial whose coloring phi covers its whole trial set proves later
+    vertices kept by recolouring.  If u is the only neighbour of v in keep
+    coloured phi(u), then phi with v coloured phi(u) and u uncoloured is a
+    (chi - 1)-coloring of keep - u, so u is kept; the step repeats from u,
+    each time to the lowest such u whose trial is still to come.  The scan
+    only shrinks keep, so keep' - u, a subset of keep - u, stays colourable
+    for every later kept set keep'.  A proven vertex skips its trial: no
+    peel, no clique test, no search, and its pause in the shared run and
+    any saved state are dropped, as for a finished trial.  The kept set is
+    the one the trials would give.  On C_n^2 with n = 2 (mod 3), trial 0
+    deletes vertex 0, and one kept trial's coloring proves the rest.
 
     The searches of the trials where nothing peels share one run, and every
     coloring stays the one a fresh search gives.  The search selects only
@@ -376,13 +417,16 @@ def extract_vertex_critical(g: Graph, chi: int) -> tuple[frozenset[int], dict[in
     if chi < 1:
         raise ValueError("chromatic number must be at least 1")
     k = chi - 1
-    keep = (1 << g.n) - 1
+    everything = keep = (1 << g.n) - 1
     base = _peel(g, k, keep)  # the k-core of keep
     cliques = None  # whether keep has a K_chi, asked once a greedy clique fails
     colorings: dict[int, Coloring] = {}
+    proven = 0  # later trials' vertices proven kept by recolouring
     run = None  # the search on `keep`, advanced lazily
     saved: dict[int, _Run] = {}  # its state just before u's first selection
     for v in range(g.n):
+        if proven >> v & 1:
+            continue
         trial = keep ^ 1 << v  # v is still kept: only trial v deletes it
         if not trial:
             continue
@@ -397,6 +441,8 @@ def extract_vertex_critical(g: Graph, chi: int) -> tuple[frozenset[int], dict[in
             if run is None:
                 run = _start(g, k, keep)
                 pending = bytearray(v) + b"\1" * (g.n - v)  # trials still to come
+                for u in _bits(proven):
+                    pending[u] = 0
             while v not in saved:
                 u = _search(g, k, run, pending)
                 if type(u) is not int:
@@ -419,6 +465,14 @@ def extract_vertex_critical(g: Graph, chi: int) -> tuple[frozenset[int], dict[in
         if run is not None:
             pending[v] = 0  # its trial is over: no pause there, no state kept
             saved.pop(v, None)
-        if core == trial:
+        if core != trial:
+            continue
+        if keep == everything:
             colorings[v] = phi
+            continue
+        for u in _recolorings(g, list(phi), v, keep & ~proven & -(2 << v)):
+            proven |= 1 << u
+            if run is not None:  # its trial is over too
+                pending[u] = 0
+                saved.pop(u, None)
     return frozenset(_bits(keep)), colorings

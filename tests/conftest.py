@@ -180,8 +180,9 @@ class CountingGraph(Graph):
     """A copy of a graph that counts its `neighbors` reads.
 
     The colouring search reads a vertex's neighbours exactly once per paint
-    and once per unpaint, and peeling and the clique bound read bitmasks
-    only, so `reads` measures the search work done on the graph.
+    and once per unpaint, and peeling, the clique bound and the critical
+    scan's recolouring read bitmasks only, so `reads` measures the search
+    work done on the graph.
     """
 
     __slots__ = ("reads",)
@@ -208,7 +209,7 @@ def per_trial_critical_scan(g: Graph, chi: int) -> tuple[frozenset[int], dict[in
     Each trial set is peeled to its (chi - 1)-core, a greedy clique of more
     than chi - 1 vertices refutes the core, and otherwise
     `find_k_coloring` searches the core from scratch.  A trial's colouring
-    is kept when nothing peeled.
+    is kept when nothing peeled and no earlier trial deleted a vertex.
     """
     k = chi - 1
     keep = list(range(g.n))
@@ -236,7 +237,7 @@ def per_trial_critical_scan(g: Graph, chi: int) -> tuple[frozenset[int], dict[in
             phi = find_k_coloring(g, k, core)
         if phi is None:
             keep = trial
-        elif len(core) == len(trial):
+        elif len(core) == len(trial) and len(keep) == g.n:
             colorings[v] = phi
     return frozenset(keep), colorings
 

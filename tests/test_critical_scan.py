@@ -8,15 +8,17 @@ inputs with maximum degree at least 4, C_m[K_2] (the circulant
 C_2m(1, m - 1, m), whose refutations backtrack hard), squared cycles, also
 beyond graph6's order limit, and small random graphs.  On C_n^2 with
 n = 2 (mod 3) the first trial, on all of the graph but vertex 0, deletes
-vertex 0.  Counted in neighbour reads, one per paint or unpaint, the scan
+vertex 0.  After a deletion the scan proves vertices kept by recolouring
+instead of running their trials; each such proof must hold up against the
+reference.  Counted in neighbour reads, one per paint or unpaint, the scan
 must do no more search work than the reference anywhere, and strictly less
-on the squared cycles.  On the 4-critical ones no peel may remove a vertex
-and only the first trial may compute a greedy clique, the one that leads to
-the scan's single clique test: neither can act on a K_4-free 4-regular
-graph while nothing is deleted.  Where a greedy clique refutes a trial
-before one fails, the exact clique test must not run.  Where chi equals
-the maximum degree, the kept set must have the shape `find_witness` reads
-its branch off.
+on the squared cycles and C_m[K_2].  On the 4-critical squared cycles no
+peel may remove a vertex and only the first trial may compute a greedy
+clique, the one that leads to the scan's single clique test: neither can
+act on a K_4-free 4-regular graph while nothing is deleted.  Where a
+greedy clique refutes a trial before one fails, the exact clique test must
+not run.  Where chi equals the maximum degree, the kept set must have the
+shape `find_witness` reads its branch off.
 """
 
 from __future__ import annotations
@@ -35,7 +37,9 @@ from chidelta.graph import (
 )
 from chidelta.witness import find_witness
 
-from conftest import CountingGraph, per_trial_critical_scan, random_graph
+from conftest import (
+    CountingGraph, is_proper, per_trial_critical_scan, random_graph, searched_vertices
+)
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden_certificates.txt"
 
@@ -65,6 +69,7 @@ CASES = {
     "golden": _golden,
     "C11[K2]": lambda: [(_c_m_k2(11), 5)],
     "C13[K2]": lambda: [(_c_m_k2(13), 5)],
+    "C15[K2]": lambda: [(_c_m_k2(15), 5)],
     "C_n^2, n <= 61": lambda: [(cycle_power(n, 2), 4) for n in range(10, 62, 3)],
     "C100^2": lambda: [(cycle_power(100, 2), 4)],
     "C199^2": lambda: [(cycle_power(199, 2), 4)],
@@ -104,11 +109,13 @@ def test_scan_reads_no_more_than_per_trial_reference(name):
         assert got_reads <= want_reads, (name, g)
 
 
-@pytest.mark.parametrize("name", [name for name in CASES if name.startswith("C") and "^2" in name])
+@pytest.mark.parametrize("name", [name for name in CASES if name not in ("golden", "random")])
 def test_scan_shares_search_work_on_squared_cycles(name):
     # n = 1 (mod 3): C_n^2 is 4-critical, so every trial searches, and from
     # vertex 2 on each trial resumes past the paints it shares with the run
-    # on all of C_n^2
+    # on all of C_n^2.  n = 2 (mod 3) and C_m[K_2]: trial 0 deletes vertex 0,
+    # and from then on one kept trial's colouring proves most later vertices
+    # kept by recolouring, so their trials search nothing
     for g, _, want_reads, _, got_reads in _scans(name):
         assert got_reads < want_reads, (name, g)
 
@@ -163,12 +170,13 @@ def test_scan_skips_the_clique_test_once_a_greedy_clique_refutes(monkeypatch, d)
 
 @pytest.mark.parametrize(
     "m,cycle",
-    [(15, tuple(range(2, 16)) + (1,)), (17, tuple(range(2, 18)) + (1,))],
+    [(m, tuple(range(2, m + 1)) + (1,)) for m in (15, 17, 19)],
 )
 def test_find_witness_pinned_on_c_m_k2(m, cycle):
     # C_m[K_2] is 5-regular with chi = 5 and no K_5, so the scan skips every
     # greedy clique on a graph whose refutations backtrack hard; its
-    # certificate is the one it had while every trial computed one
+    # certificate is the one it had while every trial computed one, and
+    # while every kept trial after the first deletion searched
     assert find_witness(_c_m_k2(m)) == HighOddHoleWitness(cycle)
 
 
@@ -195,8 +203,65 @@ def _two_mod_three_hole(n):
     return HighOddHoleWitness(tuple(p for p in range(2, n) if p % 3) + (1,))
 
 
-@pytest.mark.parametrize("n", [101, 200, 401])
+@pytest.mark.parametrize("n", [101, 200, 401, 800])
 def test_find_witness_pinned_on_squared_cycles_two_mod_three(n):
     # the scan's first trial deletes vertex 0, so the kept set is C_n^2 - 0
     # and the certificate comes from the deficient probe
     assert find_witness(cycle_power(n, 2)) == _two_mod_three_hole(n)
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_recolouring_proves_only_kept_vertices(monkeypatch, name):
+    # Every vertex the scan proves kept by recolouring, instead of running
+    # its trial, is kept by the per-trial reference, and the colouring that
+    # proves it is a proper (chi - 1)-colouring of exactly keep - u, keep
+    # being the kept set when the walk starts at trial v: the reference's
+    # kept set with every vertex from v on, since only trial w deletes w
+    original = coloring_mod._recolorings
+    proofs = []
+
+    def recording(g, colors, v, later):
+        for u in original(g, colors, v, later):
+            proofs.append((v, u, tuple(colors)))
+            yield u
+
+    monkeypatch.setattr(coloring_mod, "_recolorings", recording)
+    proven = deleting = 0
+    for (g, chi), (_, (kept, _), _, _, _) in zip(CASES[name](), _scans(name)):
+        proofs.clear()
+        assert extract_vertex_critical(g, chi)[0] == kept, (name, g)
+        for v, u, phi in proofs:
+            assert u in kept, (name, g, v, u)
+            keep_v = kept | set(range(v, g.n))
+            assert {w for w in range(g.n) if phi[w]} == keep_v - {u}, (name, g, v, u)
+            assert max(phi) <= chi - 1 and is_proper(g, phi), (name, g, v, u)
+        # on the squared cycles and C_m[K_2], recolouring acts wherever
+        # something is deleted; on the small inputs at least somewhere
+        assert proofs or len(kept) == g.n or name in ("golden", "random"), (name, g)
+        proven += len(proofs)
+        deleting += len(kept) < g.n
+    assert proven or not deleting, name
+
+
+@pytest.mark.parametrize("n", [101, 200, 401, 800])
+def test_scan_searches_little_after_deleting_vertex_zero(monkeypatch, n):
+    # C_n^2 with n = 2 (mod 3): trial 0 refutes C_n^2 - 0 and deletes
+    # vertex 0.  Every later trial keeps its vertex.  Those near vertex 0
+    # peel to nothing; the first one that does not pauses the shared run on
+    # C_n^2 - 0 and resumes from it, and its colouring proves every vertex
+    # after it kept by recolouring.  Searching each later trial instead took
+    # about two runs per vertex
+    original = coloring_mod._search
+    calls = []
+
+    def recording(h, k, run, pause=None):
+        inside = frozenset(searched_vertices(run))
+        got = original(h, k, run, pause)
+        calls.append((inside, got))
+        return got
+
+    monkeypatch.setattr(coloring_mod, "_search", recording)
+    extract_vertex_critical(cycle_power(n, 2), 4)
+    first = next(i for i, (_, got) in enumerate(calls) if got is None)
+    assert calls[first][0] == frozenset(range(1, n))
+    assert len(calls) - first - 1 <= 2, len(calls) - first - 1

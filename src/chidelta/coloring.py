@@ -7,13 +7,10 @@ every colouring it hands out is reproducible for a fixed graph labeling.  It
 keeps each vertex's saturation incrementally, touching only the neighbours of
 the vertex it paints or unpaints, and backtracks over an explicit stack of
 (vertex, colour, colours used before it) frames, so search depth is not
-bounded by the interpreter's recursion limit.  A search in progress is plain
-data that can be copied and resumed: the critical-subgraph scan runs one
-search on its kept set and resumes each trial G - v from where that search
-first reached v; once the scan has deleted a vertex, it proves later
-vertices kept by recolouring a colouring it already has.  A Kempe chain, a
-two-colour component of a proper partial colouring, is the frozenset of its
-vertices.
+bounded by the interpreter's recursion limit.  The critical-subgraph scan
+searches a trial only when no colouring it already has proves the trial's
+vertex kept by recolouring.  A Kempe chain, a two-colour component of a
+proper partial colouring, is the frozenset of its vertices.
 
 Inside the module a vertex set is a bitmask, bit v set when v is in it, like
 the graph's adjacency rows: the colourability decision peels, bounds and
@@ -48,33 +45,24 @@ def find_k_coloring(g: Graph, k: int, on: Iterable[int] | None = None) -> Colori
     """
     if k < 1:
         raise ValueError("palette size must be at least 1")
-    return _search(g, k, _start(g, k, _vertex_mask(g, on)))
+    return _search(g, k, _vertex_mask(g, on))
 
 
-# A search in progress: the uncoloured vertices still to select (ascending),
-# each vertex's colour, seen[u * (k + 1) + c] (the neighbours of u coloured
-# c), each vertex's saturation, and the stack of (vertex, colour, colours
-# used before it) frames.
-_Run = tuple[list[int], list[int], list[int], list[int], list[tuple[int, int, int]]]
-
-
-def _start(g: Graph, k: int, inside: int) -> _Run:
-    # The search on the vertices of the bitmask `inside` before its first step.
-    return list(_bits(inside)), [0] * g.n, [0] * (g.n * (k + 1)), [0] * g.n, []
-
-
-def _search(g: Graph, k: int, run: _Run, pause: bytearray | None = None) -> Coloring | int | None:
-    # Run the search from the state `run` holds, updating it in place, to a
-    # colouring of its vertices or None.  With `pause` given, stop instead
-    # just before a vertex u with pause[u] set is selected: clear pause[u]
-    # and return u, leaving `run` where a later call resumes it.  Every
-    # search, fresh or resumed, is this one loop.
-    free, colors, seen, sat, stack = run
+def _search(g: Graph, k: int, inside: int) -> Coloring | None:
+    # The search of `find_k_coloring` on the vertices of the bitmask
+    # `inside`: a k-colouring of exactly them, or None.  `free` holds the
+    # uncoloured vertices still to select, ascending, and
+    # seen[u * (k + 1) + c] the number of u's neighbours coloured c.
+    free = list(_bits(inside))
+    colors = [0] * g.n
     if not free:
         return tuple(colors)
+    seen = [0] * (g.n * (k + 1))
+    sat = [0] * g.n
+    stack: list[tuple[int, int, int]] = []
     nbrs = g.neighbors
     stride = k + 1
-    used = max(stack[-1][1:]) if stack else 0  # highest colour in use
+    used = 0  # highest colour in use
     c = 0  # colour last tried at v; 0 means select a new v
     while True:
         if c == 0:
@@ -87,11 +75,7 @@ def _search(g: Graph, k: int, run: _Run, pause: bytearray | None = None) -> Colo
                     best, i = s, j
                     if s == used:
                         break
-            v = free[i]
-            if pause is not None and pause[v]:
-                pause[v] = 0
-                return v
-            del free[i]
+            v = free.pop(i)
         # next colour above c not seen next to v, at most one fresh colour
         base = v * stride
         top = k if used >= k else used + 1
@@ -226,7 +210,7 @@ def _colorable(g: Graph, k: int, inside: int) -> bool:
     core = _peel(g, k, inside)
     if not core:
         return True
-    return _greedy_clique(g, core) <= k and _search(g, k, _start(g, k, core)) is not None
+    return _greedy_clique(g, core) <= k and _search(g, k, core) is not None
 
 
 def is_k_colorable(g: Graph, k: int, on: Iterable[int] | None = None) -> bool:
@@ -370,42 +354,27 @@ def extract_vertex_critical(g: Graph, chi: int) -> tuple[frozenset[int], dict[in
     clique.  Where a greedy clique refutes first, that test never runs.
 
     A kept vertex v is kept because the other remaining vertices have a
-    (chi - 1)-coloring.  While no trial has deleted a vertex, when peeling
-    removed none of them, that coloring covers the whole trial set g - v,
-    and it is returned in the dict under v: the coloring of g - v that
-    `find_k_coloring(g, chi - 1, others)` returns.  If the scan deletes
-    nothing from a chi-regular g, no trial set peels either (each of its
-    vertices keeps at least chi - 1 neighbours), so the coloring of g - v is
-    returned for every v: the regular branch of the proof route relies on
-    it, and reads the dict nowhere else.
-
-    Once a trial has deleted a vertex, no coloring is stored.  Instead a
-    kept trial whose coloring phi covers its whole trial set proves later
-    vertices kept by recolouring.  If u is the only neighbour of v in keep
-    coloured phi(u), then phi with v coloured phi(u) and u uncoloured is a
+    (chi - 1)-coloring.  When peeling removed none of them, that coloring
+    phi covers the whole trial set keep - v, and it proves later vertices
+    kept by recolouring.  If u is the only neighbour of v in keep coloured
+    phi(u), then phi with v coloured phi(u) and u uncoloured is a
     (chi - 1)-coloring of keep - u, so u is kept; the step repeats from u,
     each time to the lowest such u whose trial is still to come.  The scan
-    only shrinks keep, so keep' - u, a subset of keep - u, stays colourable
-    for every later kept set keep'.  A proven vertex skips its trial: no
-    peel, no clique test, no search, and its pause in the shared run and
-    any saved state are dropped, as for a finished trial.  The kept set is
-    the one the trials would give.  On C_n^2 with n = 2 (mod 3), trial 0
-    deletes vertex 0, and one kept trial's coloring proves the rest.
+    only shrinks keep, so keep' - u, a subset of keep - u, stays
+    colourable for every later kept set keep'.  A proven vertex skips its
+    trial: no peel, no clique test, no search.  The kept set is the one the
+    trials would give.  On C_n^2 with n = 1 (mod 3), trial 0's coloring
+    proves every other vertex kept; with n = 2 (mod 3), trial 0 deletes
+    vertex 0, and one kept trial's coloring proves the rest.
 
-    The searches of the trials where nothing peels share one run, and every
-    coloring stays the one a fresh search gives.  The search selects only
-    among the uncoloured vertices of its own set, ties go to the lowest id,
-    and an uncoloured vertex adds to no saturation.  So the search on
-    keep - v makes exactly the selections, paints and backtracks of the
-    search on keep up to the moment that search first selects v.  The scan
-    runs the search on keep only as far as the current trial needs, and
-    copies its state just before each later trial's vertex is first
-    selected.  Trial v resumes from its copy with v removed, which is step
-    for step the fresh search on keep - v, and the copy is dropped.  If the
-    run on keep ends without selecting v, the search on keep - v is that
-    same run, so v goes.  A deletion changes keep and its core and discards
-    the run; the next trial where nothing peels starts a new one.  Trials
-    whose set peels search their core afresh.
+    While no trial has deleted a vertex, each of these colorings is one of
+    g - v, and it is returned in the dict under v: for a trial that
+    searched, the coloring `find_k_coloring(g, chi - 1, others)` returns,
+    and for a proven vertex, the walk's.  If the scan deletes nothing from
+    a chi-regular g, no trial set peels either (each of its vertices keeps
+    at least chi - 1 neighbours), so a coloring of g - v is returned for
+    every v: the regular branch of the proof route relies on it, and reads
+    the dict nowhere else.
 
     The kept set, its core, each trial set and the trial's core are vertex
     bitmasks: trial v is keep with bit v cleared (v is still kept, since
@@ -422,8 +391,6 @@ def extract_vertex_critical(g: Graph, chi: int) -> tuple[frozenset[int], dict[in
     cliques = None  # whether keep has a K_chi, asked once a greedy clique fails
     colorings: dict[int, Coloring] = {}
     proven = 0  # later trials' vertices proven kept by recolouring
-    run = None  # the search on `keep`, advanced lazily
-    saved: dict[int, _Run] = {}  # its state just before u's first selection
     for v in range(g.n):
         if proven >> v & 1:
             continue
@@ -435,44 +402,21 @@ def extract_vertex_critical(g: Graph, chi: int) -> tuple[frozenset[int], dict[in
             phi = (0,) * g.n
         elif cliques is not False and _greedy_clique(g, core) > k:
             phi, cliques = None, True
-        elif core != trial:
-            phi = _search(g, k, _start(g, k, core))
         else:
-            if run is None:
-                run = _start(g, k, keep)
-                pending = bytearray(v) + b"\1" * (g.n - v)  # trials still to come
-                for u in _bits(proven):
-                    pending[u] = 0
-            while v not in saved:
-                u = _search(g, k, run, pending)
-                if type(u) is not int:
-                    break  # the run ended without selecting v
-                free, colors, seen, sat, stack = run
-                saved[u] = (free[:], colors[:], seen[:], sat[:], stack[:])
-            state = saved.pop(v, None)
-            if state is None:
-                phi = None
-            else:
-                state[0].remove(v)
-                phi = _search(g, k, state)
+            phi = _search(g, k, core)
         if cliques is None and core:  # this trial's greedy clique did not refute it
             cliques = _has_clique(g, chi, keep)
         if phi is None:
             keep, base = trial, core
-            run = None
-            saved.clear()
             continue
-        if run is not None:
-            pending[v] = 0  # its trial is over: no pause there, no state kept
-            saved.pop(v, None)
         if core != trial:
             continue
-        if keep == everything:
+        whole = keep == everything
+        if whole:
             colorings[v] = phi
-            continue
-        for u in _recolorings(g, list(phi), v, keep & ~proven & -(2 << v)):
+        colors = list(phi)
+        for u in _recolorings(g, colors, v, keep & ~proven & -(2 << v)):
             proven |= 1 << u
-            if run is not None:  # its trial is over too
-                pending[u] = 0
-                saved.pop(u, None)
+            if whole:
+                colorings[u] = tuple(colors)
     return frozenset(_bits(keep)), colorings

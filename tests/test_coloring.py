@@ -25,7 +25,6 @@ from conftest import (
     kempe_swap,
     path_n,
     random_graph,
-    searched_vertices,
     to_nx,
 )
 
@@ -342,10 +341,10 @@ def test_extract_critical_skips_search_while_a_clique_survives(monkeypatch):
     clique = set(range(m, m + 4))
     original = coloring_mod._search
 
-    def inside_clique_only(h, k, run, pause=None):
-        # every search, fresh, shared or resumed, goes through `_search`
-        assert searched_vertices(run) <= clique, "searched with the K4 intact"
-        return original(h, k, run, pause)
+    def inside_clique_only(h, k, inside):
+        # every search goes through `_search`, on the bitmask of its vertices
+        assert {v for v in range(h.n) if inside >> v & 1} <= clique, "searched with the K4 intact"
+        return original(h, k, inside)
 
     monkeypatch.setattr(coloring_mod, "_search", inside_clique_only)
     assert _critical(g) == clique
@@ -360,36 +359,31 @@ def _pendant_c7_complement(m):
 
 def test_searches_see_only_cores(monkeypatch):
     # chi = 4 and no K4, so no clique settles the question: every search runs,
-    # and each that runs to its end (`pause` is None), fresh or resumed from
-    # a shared run, must be on a k-core, never on the pendant path.  A shared
-    # run is on the kept set, which still holds the vertex of the trial that
-    # resumes from it; it stops before selecting that vertex.
+    # and each must be on a k-core, never on the pendant path
     m = 30
     g = _pendant_c7_complement(m)
     original = coloring_mod._search
     calls = []
 
-    def core_only(h, k, run, pause=None):
-        inside = searched_vertices(run)
+    def core_only(h, k, mask):
+        inside = frozenset(v for v in range(h.n) if mask >> v & 1)
         assert len(inside) < h.n, "searched the whole graph"
-        if pause is None:
-            for v in inside:
-                assert len(set(h.neighbors(v)) & inside) >= k, f"vertex {v} not in the {k}-core"
-        calls.append((frozenset(inside), pause is not None, bool(run[4])))
-        return original(h, k, run, pause)
+        for v in inside:
+            assert len(set(h.neighbors(v)) & inside) >= k, f"vertex {v} not in the {k}-core"
+        calls.append(inside)
+        return original(h, k, mask)
 
     monkeypatch.setattr(coloring_mod, "_search", core_only)
     assert chromatic_number(g) == 4
     calls.clear()
     assert _critical(g) == set(range(m, m + 7))
-    # once the path is gone, the shared run on the complement of C7 stops
-    # before its first selection, at m, so the first trial there searches
-    # afresh and keeps m.  That is the only search on it: the path's
-    # deletions came first, so the trial's colouring proves the other six
-    # vertices kept by recolouring, and their trials search nothing
+    # once the path is gone, the first trial on the complement of C7, at m,
+    # searches the other six and keeps m.  That is the only search on it:
+    # the trial's colouring proves the other six vertices kept by
+    # recolouring, and their trials search nothing
     c7 = set(range(m, m + 7))
-    late = [call for call in calls if call[0] < c7 or call[0] == c7 and call[1]]
-    assert late == [(frozenset(c7), True, False), (frozenset(c7 - {m}), False, False)]
+    late = [call for call in calls if call < c7]
+    assert late == [frozenset(c7 - {m})]
 
 
 def _restart_scan_critical(g):

@@ -1,24 +1,25 @@
-"""The critical scan gives exactly what one fresh search per trial gives,
+"""The critical scan keeps exactly what one fresh search per trial keeps,
 with no more search work.
 
 `per_trial_critical_scan` in conftest is the scan with a fresh colouring
 search for every trial set.  `extract_vertex_critical` must return the same
-kept set and the same stored colourings on every input here: the golden
-inputs with maximum degree at least 4, C_m[K_2] (the circulant
-C_2m(1, m - 1, m), whose refutations backtrack hard), squared cycles, also
-beyond graph6's order limit, and small random graphs.  On C_n^2 with
-n = 2 (mod 3) the first trial, on all of the graph but vertex 0, deletes
-vertex 0.  After a deletion the scan proves vertices kept by recolouring
-instead of running their trials; each such proof must hold up against the
-reference.  Counted in neighbour reads, one per paint or unpaint, the scan
-must do no more search work than the reference anywhere, and strictly less
-on the squared cycles and C_m[K_2].  On the 4-critical squared cycles no
-peel may remove a vertex and only the first trial may compute a greedy
-clique, the one that leads to the scan's single clique test: neither can
-act on a K_4-free 4-regular graph while nothing is deleted.  Where a
-greedy clique refutes a trial before one fails, the exact clique test must
-not run.  Where chi equals the maximum degree, the kept set must have the
-shape `find_witness` reads its branch off.
+kept set on every input here: the golden inputs with maximum degree at
+least 4, C_m[K_2] (the circulant C_2m(1, m - 1, m), whose refutations
+backtrack hard), squared cycles, also beyond graph6's order limit, and
+small random graphs.  A kept trial's colouring proves later vertices kept
+by recolouring instead of running their trials; each such proof must hold
+up against the reference.  The stored colourings are (chi - 1)-colourings
+of g - v wherever the reference stores one for every v, and a searched
+trial's is the reference's own.  On C_n^2 with n = 2 (mod 3) the first
+trial, on all of the graph but vertex 0, deletes vertex 0.  Counted in
+neighbour reads, one per paint or unpaint, the scan must do no more search
+work than the reference anywhere, and strictly less on the squared cycles
+and C_m[K_2].  On the 4-critical squared cycles the scan makes one search,
+one peel of a trial and one greedy clique, the one that leads to its
+single clique test, all in trial 0; trial 0's colouring proves every other
+vertex kept.  Where a greedy clique refutes a trial before one fails, the
+exact clique test must not run.  Where chi equals the maximum degree, the
+kept set must have the shape `find_witness` reads its branch off.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from __future__ import annotations
 import functools
 import random
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -37,9 +39,7 @@ from chidelta.graph import (
 )
 from chidelta.witness import find_witness
 
-from conftest import (
-    CountingGraph, is_proper, per_trial_critical_scan, random_graph, searched_vertices
-)
+from conftest import CountingGraph, is_proper, per_trial_critical_scan, random_graph
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden_certificates.txt"
 
@@ -83,40 +83,64 @@ CASES = {
 
 @functools.cache
 def _scans(name):
-    # (reference output, its reads, scan output, its reads) per input
+    # (input, chi, reference output, its reads, scan output, its reads, the
+    # scan's recolouring proofs) per input; a proof (v, u, colours) is a
+    # step of the walk from trial v to u, with the colouring of keep - u
+    # it gives
+    original = coloring_mod._recolorings
+    proofs = []
+
+    def recording(g, colors, v, later):
+        for u in original(g, colors, v, later):
+            proofs.append((v, u, tuple(colors)))
+            yield u
+
     out = []
-    for g, chi in CASES[name]():
-        h = CountingGraph(g)
-        want = per_trial_critical_scan(h, chi)
-        want_reads, h.reads = h.reads, 0
-        got = extract_vertex_critical(h, chi)
-        out.append((g, want, want_reads, got, h.reads))
+    with mock.patch.object(coloring_mod, "_recolorings", recording):
+        for g, chi in CASES[name]():
+            h = CountingGraph(g)
+            want = per_trial_critical_scan(h, chi)
+            want_reads, h.reads = h.reads, 0
+            proofs.clear()
+            got = extract_vertex_critical(h, chi)
+            out.append((g, chi, want, want_reads, got, h.reads, tuple(proofs)))
     return out
 
 
 @pytest.mark.parametrize("name", list(CASES))
 def test_scan_matches_per_trial_reference(name):
-    for g, want, _, got, _ in _scans(name):
+    # The kept sets are equal.  Each stored colouring is a proper
+    # (chi - 1)-colouring of exactly g - v; the scan stores one wherever
+    # the reference does; and a vertex the scan did not prove by
+    # recolouring had its trial's search, so its colouring is the
+    # reference's
+    for g, chi, want, _, got, _, proofs in _scans(name):
         assert got[0] == want[0], (name, g)
-        assert got[1] == want[1], (name, g)
+        for v, phi in got[1].items():
+            assert {u for u in range(g.n) if phi[u]} == set(range(g.n)) - {v}, (name, g, v)
+            assert max(phi) <= chi - 1 and is_proper(g, phi), (name, g, v)
+        assert set(want[1]) <= set(got[1]), (name, g)
+        proven = {u for _, u, _ in proofs}
+        for v, phi in want[1].items():
+            if v not in proven:
+                assert got[1][v] == phi, (name, g, v)
 
 
 @pytest.mark.parametrize("name", list(CASES))
 def test_scan_reads_no_more_than_per_trial_reference(name):
-    # a run on keep advanced past what the trials read would fail on C_m[K_2]:
-    # it goes on to refute all of keep, which no trial needs
-    for g, _, want_reads, _, got_reads in _scans(name):
+    # a trial the scan runs searches the core the reference's trial
+    # searches, and a trial proven by recolouring searches nothing
+    for g, _, _, want_reads, _, got_reads, _ in _scans(name):
         assert got_reads <= want_reads, (name, g)
 
 
 @pytest.mark.parametrize("name", [name for name in CASES if name not in ("golden", "random")])
 def test_scan_shares_search_work_on_squared_cycles(name):
-    # n = 1 (mod 3): C_n^2 is 4-critical, so every trial searches, and from
-    # vertex 2 on each trial resumes past the paints it shares with the run
-    # on all of C_n^2.  n = 2 (mod 3) and C_m[K_2]: trial 0 deletes vertex 0,
-    # and from then on one kept trial's colouring proves most later vertices
-    # kept by recolouring, so their trials search nothing
-    for g, _, want_reads, _, got_reads in _scans(name):
+    # n = 1 (mod 3): C_n^2 is 4-critical, and trial 0's colouring proves
+    # every other vertex kept by recolouring, so their trials search
+    # nothing.  n = 2 (mod 3) and C_m[K_2]: trial 0 deletes vertex 0, and
+    # one kept trial's colouring proves most later vertices kept
+    for g, _, _, want_reads, _, got_reads, _ in _scans(name):
         assert got_reads < want_reads, (name, g)
 
 
@@ -127,9 +151,10 @@ FOUR_CRITICAL_SQUARES = [n for n in range(10, 62) if n % 3 == 1] + [100, 199, 40
 def test_scan_neither_peels_nor_bounds_a_critical_squared_cycle(monkeypatch, n):
     # C_n^2 is 4-regular with chi = 4, so it is its own 3-core and no trial
     # set peels, and it has no K_4, so no greedy clique can refute a trial:
-    # trial 0's greedy clique fails, the one clique test says no K_4, and
-    # from then on the scan pays for neither.  Every peel is recorded with
-    # what it removes, from all of C_n^2 or from C_n^2 - v
+    # trial 0's greedy clique fails and the one clique test says no K_4.
+    # Trial 0's colouring proves every other vertex kept, so no later trial
+    # runs at all.  Every peel is recorded with what it removes, from all of
+    # C_n^2 or from C_n^2 - 0
     calls = []
 
     def recording(name, original, *args):
@@ -148,10 +173,27 @@ def test_scan_neither_peels_nor_bounds_a_critical_squared_cycle(monkeypatch, n):
         )
     kept, colorings = extract_vertex_critical(cycle_power(n, 2), 4)
     assert kept == set(range(n)) and sorted(colorings) == list(range(n))
-    trials = [("_peel_without", v, 0) for v in range(n)]
-    assert calls == (
-        [("_peel", 0), trials[0], ("_greedy_clique", 3), ("_has_clique", False)] + trials[1:]
-    )
+    assert calls == [
+        ("_peel", 0), ("_peel_without", 0, 0), ("_greedy_clique", 3), ("_has_clique", False)
+    ]
+
+
+@pytest.mark.parametrize("n", FOUR_CRITICAL_SQUARES)
+def test_scan_searches_a_critical_squared_cycle_once(monkeypatch, n):
+    # trial 0 searches C_n^2 - 0, and its colouring proves every other
+    # vertex kept by recolouring, each step a colouring of C_n^2 - u that
+    # the scan stores for the regular branch
+    original = coloring_mod._search
+    calls = []
+
+    def recording(h, k, inside):
+        calls.append(inside)
+        return original(h, k, inside)
+
+    monkeypatch.setattr(coloring_mod, "_search", recording)
+    kept, colorings = extract_vertex_critical(cycle_power(n, 2), 4)
+    assert kept == set(range(n)) and sorted(colorings) == list(range(n))
+    assert calls == [(1 << n) - 2]
 
 
 @pytest.mark.parametrize("d", [4, 5, 6])
@@ -185,7 +227,7 @@ def test_kept_set_has_a_shape_find_witness_reads(name):
     # chi = Delta = d on these inputs.  Kept has d vertices exactly when it
     # induces K_d; otherwise it induces maximum degree d and minimum degree
     # at least d - 1, and it is d-regular only as all of g
-    for g, _, _, (kept, _), _ in _scans(name):
+    for g, _, _, _, (kept, _), _, _ in _scans(name):
         d = max_degree(g)
         sub, _ = induced_subgraph(g, sorted(kept))
         complete = sub.edge_count() == sub.n * (sub.n - 1) // 2
@@ -211,57 +253,44 @@ def test_find_witness_pinned_on_squared_cycles_two_mod_three(n):
 
 
 @pytest.mark.parametrize("name", list(CASES))
-def test_recolouring_proves_only_kept_vertices(monkeypatch, name):
+def test_recolouring_proves_only_kept_vertices(name):
     # Every vertex the scan proves kept by recolouring, instead of running
     # its trial, is kept by the per-trial reference, and the colouring that
     # proves it is a proper (chi - 1)-colouring of exactly keep - u, keep
     # being the kept set when the walk starts at trial v: the reference's
     # kept set with every vertex from v on, since only trial w deletes w
-    original = coloring_mod._recolorings
-    proofs = []
-
-    def recording(g, colors, v, later):
-        for u in original(g, colors, v, later):
-            proofs.append((v, u, tuple(colors)))
-            yield u
-
-    monkeypatch.setattr(coloring_mod, "_recolorings", recording)
-    proven = deleting = 0
-    for (g, chi), (_, (kept, _), _, _, _) in zip(CASES[name](), _scans(name)):
-        proofs.clear()
-        assert extract_vertex_critical(g, chi)[0] == kept, (name, g)
+    proven = 0
+    for g, chi, (kept, _), _, got, _, proofs in _scans(name):
+        assert got[0] == kept, (name, g)
         for v, u, phi in proofs:
             assert u in kept, (name, g, v, u)
             keep_v = kept | set(range(v, g.n))
             assert {w for w in range(g.n) if phi[w]} == keep_v - {u}, (name, g, v, u)
             assert max(phi) <= chi - 1 and is_proper(g, phi), (name, g, v, u)
-        # on the squared cycles and C_m[K_2], recolouring acts wherever
-        # something is deleted; on the small inputs at least somewhere
-        assert proofs or len(kept) == g.n or name in ("golden", "random"), (name, g)
+        # on the squared cycles and C_m[K_2], recolouring acts on every
+        # input; on the small inputs at least somewhere
+        assert proofs or name in ("golden", "random"), (name, g)
         proven += len(proofs)
-        deleting += len(kept) < g.n
-    assert proven or not deleting, name
+    assert proven, name
 
 
 @pytest.mark.parametrize("n", [101, 200, 401, 800])
 def test_scan_searches_little_after_deleting_vertex_zero(monkeypatch, n):
     # C_n^2 with n = 2 (mod 3): trial 0 refutes C_n^2 - 0 and deletes
     # vertex 0.  Every later trial keeps its vertex.  Those near vertex 0
-    # peel to nothing; the first one that does not pauses the shared run on
-    # C_n^2 - 0 and resumes from it, and its colouring proves every vertex
-    # after it kept by recolouring.  Searching each later trial instead took
-    # about two runs per vertex
+    # peel to nothing; the first one that does not searches, and its
+    # colouring proves every vertex after it kept by recolouring.
+    # Searching each later trial instead took about two runs per vertex
     original = coloring_mod._search
     calls = []
 
-    def recording(h, k, run, pause=None):
-        inside = frozenset(searched_vertices(run))
-        got = original(h, k, run, pause)
+    def recording(h, k, inside):
+        got = original(h, k, inside)
         calls.append((inside, got))
         return got
 
     monkeypatch.setattr(coloring_mod, "_search", recording)
     extract_vertex_critical(cycle_power(n, 2), 4)
     first = next(i for i, (_, got) in enumerate(calls) if got is None)
-    assert calls[first][0] == frozenset(range(1, n))
+    assert calls[first][0] == (1 << n) - 2
     assert len(calls) - first - 1 <= 2, len(calls) - first - 1

@@ -49,7 +49,6 @@ from conftest import (
     k_n,
     path_n,
     petersen,
-    searched_vertices,
     sequence_three_coloring,
 )
 
@@ -258,8 +257,9 @@ REGULAR_SWEEP_INPUTS = [(str(n), cycle_power(n, 2)) for n in range(7, 62, 3)] + 
 )
 def test_neighborhood_split_reuses_the_critical_scan_coloring(g):
     # what the split sweep relies on: the scan keeps every vertex of a
-    # regular critical graph and stores the coloring of g - v for every v,
-    # the one `find_k_coloring` gives g - v itself
+    # regular critical graph and stores a coloring of g - v for every v.
+    # Trial 0 searches, so vertex 0's is the one `find_k_coloring` gives
+    # g - 0 itself; the others may come from recolouring it
     delta = max_degree(g)
     assert min_degree(g) == delta
     kept, colorings = extract_vertex_critical(g, delta)
@@ -270,7 +270,7 @@ def test_neighborhood_split_reuses_the_critical_scan_coloring(g):
         phi = colorings[v]
         assert set(phi) == set(range(delta)) and [u for u in range(g.n) if phi[u]] == others
         assert is_proper(g, phi)
-        assert phi == find_k_coloring(g, delta - 1, others)
+    assert colorings[0] == find_k_coloring(g, delta - 1, range(1, g.n))
 
 
 def test_neighborhood_split_rejects_a_coloring_of_another_vertex():
@@ -554,16 +554,14 @@ def test_find_witness_splits_each_vertex_once(monkeypatch, n):
 def test_find_witness_colours_each_subgraph_once(monkeypatch, g):
     # the critical scan's colorings of g - v feed the regular split sweep,
     # so one find_witness call never asks for the same coloring twice.  Every
-    # search, `find_k_coloring`'s included, is a run of `coloring._search`;
-    # one that runs to its end (no `pause`), fresh or resumed from the
-    # scan's shared run, is one coloring asked for
+    # search, `find_k_coloring`'s included, is one call of
+    # `coloring._search` on a vertex bitmask
     asked = []
     original = coloring_mod._search
 
-    def recording(h, k, run, pause=None):
-        if pause is None:
-            asked.append((h, k, tuple(sorted(searched_vertices(run)))))
-        return original(h, k, run, pause)
+    def recording(h, k, inside):
+        asked.append((h, k, inside))
+        return original(h, k, inside)
 
     monkeypatch.setattr(coloring_mod, "_search", recording)
     find_witness(g)
@@ -751,7 +749,7 @@ def test_squared_cycle_hole_pinned_examples():
             assert not g10.has_edge(cyc[i], cyc[j])
 
 
-@pytest.mark.parametrize("n", [100, 199, 400])
+@pytest.mark.parametrize("n", [100, 199, 400, 799])
 def test_find_witness_on_squared_cycles_beyond_graph6(n):
     # graph6 carries at most 62 vertices, so the golden file cannot pin these
     assert find_witness(cycle_power(n, 2)) == HighOddHoleWitness(squared_cycle_hole(n))

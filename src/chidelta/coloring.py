@@ -8,9 +8,11 @@ keeps each vertex's saturation incrementally, touching only the neighbours of
 the vertex it paints or unpaints, and backtracks over an explicit stack of
 (vertex, colour, colours used before it) frames, so search depth is not
 bounded by the interpreter's recursion limit.  The critical-subgraph scan
-searches a trial only when no colouring it already has proves the trial's
-vertex kept by recolouring.  A Kempe chain, a two-colour component of a
-proper partial colouring, is the frozenset of its vertices.
+searches a trial only when no recolouring of a colouring it already has
+proves the trial's vertex kept, and it checks the chromatic number it is
+given: its first trial either refutes the whole graph or is followed by
+one test of it.  A Kempe chain, a two-colour component of a proper partial
+colouring, is the frozenset of its vertices.
 
 Inside the module a vertex set is a bitmask, bit v set when v is in it, like
 the graph's adjacency rows: the colourability decision peels, bounds and
@@ -300,38 +302,63 @@ def shortest_path_in_chain(
 
 def _recolorings(g: Graph, colors: list[int], v: int, later: int) -> Iterator[int]:
     # Vertices proven kept by recolouring, from `colors`, a proper colouring
-    # of exactly keep - v (0 elsewhere).  If u is the only neighbour of v
-    # coloured c, then v coloured c with u uncoloured is a colouring of
-    # exactly keep - u with the same palette, so u is kept; the step then
-    # repeats from u.  Steps go only into the bitmask `later`, to its lowest
-    # vertex that qualifies, and never twice to one vertex.  Yields each u
-    # with `colors` changed in place to that colouring of keep - u.
-    adj = g.adjacency_mask
-    while True:
-        owner: dict[int, int] = {}  # colour -> its only neighbour of v, or -1
-        for u in _bits(adj(v)):
-            c = colors[u]
-            if c:
-                owner[c] = -1 if c in owner else u
-        step = [u for u in owner.values() if u >= 0 and later >> u & 1]
-        if not step:
+    # of exactly keep - v (0 elsewhere).  If u is the only neighbour of the
+    # uncoloured x coloured c, then x coloured c with u uncoloured is a
+    # colouring of exactly keep - u with the same palette, so u is kept.
+    # That holds for every u in keep, so the search runs depth first over
+    # every vertex such steps can uncolour, each at most once, in place:
+    # `path` holds the vertices uncoloured before the current one, and
+    # backing out of a vertex undoes its swap.  Each step goes to the lowest qualifying
+    # vertex of the bitmask `later` if there is one, else to the lowest
+    # other; so the search first walks the chain of lowest `later` steps.
+    # Yields each vertex of `later` it reaches, with `colors` changed in
+    # place to that colouring of keep - u, and stops once all are reached.
+    seen = 1 << v
+    path: list[tuple[int, int]] = []  # (vertex, its lone neighbours)
+    x, lone = v, _lone_neighbors(g, colors, v)
+    while later:
+        todo = lone & ~seen
+        if todo:
+            low = todo & later or todo
+            low &= -low
+            u = low.bit_length() - 1
+            colors[x], colors[u] = colors[u], 0
+            seen |= low
+            path.append((x, lone))
+            if later & low:
+                later ^= low
+                yield u
+            x, lone = u, _lone_neighbors(g, colors, u)
+        elif path:
+            u = x
+            x, lone = path.pop()
+            colors[x], colors[u] = 0, colors[x]
+        else:
             return
-        u = min(step)
-        colors[v], colors[u] = colors[u], 0
-        later ^= 1 << u
-        yield u
-        v = u
 
 
-def extract_vertex_critical(g: Graph, chi: int) -> tuple[frozenset[int], dict[int, Coloring]]:
+def _lone_neighbors(g: Graph, colors: list[int], x: int) -> int:
+    # The bitmask of x's coloured neighbours that no other neighbour of x
+    # shares a colour with.
+    owner: dict[int, int] = {}  # colour -> its only neighbour of x, or -1
+    for u in _bits(g.adjacency_mask(x)):
+        c = colors[u]
+        if c:
+            owner[c] = -1 if c in owner else u
+    return sum(1 << u for u in owner.values() if u >= 0)
+
+
+def extract_vertex_critical(
+    g: Graph, chi: int
+) -> tuple[frozenset[int], dict[int, Coloring]] | None:
     """Vertex set of a vertex-critical subgraph with the same chromatic number,
-    and the colorings that kept its vertices.
+    and the colorings that kept its vertices; None if g is (chi - 1)-colourable.
 
-    Takes the chromatic number chi of g from the caller, which has it
-    already (an empty g or a chi below 1 raises ValueError); then one scan
-    in ascending vertex order deletes every vertex whose removal keeps chi.
-    Deleting vertices never raises chi, so v can go exactly when the
-    remaining vertices admit no (chi - 1)-coloring.
+    Takes the chromatic number chi of g as the caller claims it, g being
+    chi-colourable (an empty g or a chi below 1 raises ValueError); then
+    one scan in ascending vertex order deletes every vertex whose removal
+    keeps chi.  Deleting vertices never raises chi, so v can go exactly
+    when the remaining vertices admit no (chi - 1)-coloring.
     That is decided as `is_k_colorable` decides it: peel to the
     (chi - 1)-core; an empty core is coloured at once, a greedy clique of
     more than chi - 1 vertices refutes the core, and otherwise one exact
@@ -353,24 +380,36 @@ def extract_vertex_critical(g: Graph, chi: int) -> tuple[frozenset[int], dict[in
     4-critical squared cycle has a K_4) no later trial computes a greedy
     clique.  Where a greedy clique refutes first, that test never runs.
 
+    The scan also checks the claim that chi is not too high.  If trial 0
+    deletes vertex 0, g - 0 and so g have no (chi - 1)-coloring.  Otherwise
+    the test of all of g follows at once, before any other trial: a colour
+    that trial 0's coloring of g - 0 leaves free around vertex 0 colours
+    g, and else, unless trial 0 found a K_chi, one `is_k_colorable` test
+    of g decides.  If g is (chi - 1)-colourable, the scan returns None.
+
     A kept vertex v is kept because the other remaining vertices have a
     (chi - 1)-coloring.  When peeling removed none of them, that coloring
     phi covers the whole trial set keep - v, and it proves later vertices
     kept by recolouring.  If u is the only neighbour of v in keep coloured
     phi(u), then phi with v coloured phi(u) and u uncoloured is a
-    (chi - 1)-coloring of keep - u, so u is kept; the step repeats from u,
-    each time to the lowest such u whose trial is still to come.  The scan
-    only shrinks keep, so keep' - u, a subset of keep - u, stays
-    colourable for every later kept set keep'.  A proven vertex skips its
-    trial: no peel, no clique test, no search.  The kept set is the one the
-    trials would give.  On C_n^2 with n = 1 (mod 3), trial 0's coloring
-    proves every other vertex kept; with n = 2 (mod 3), trial 0 deletes
-    vertex 0, and one kept trial's coloring proves the rest.
+    (chi - 1)-coloring of keep - u, so u is kept.  That holds for every u
+    in keep, whether its trial is past, proven or still to come, so from
+    phi the scan searches every vertex it can uncolour by such steps,
+    depth first and in place, each vertex once, undoing each step as it
+    backs out; every vertex it reaches whose trial is still to come is
+    proven.  Each step goes to the lowest such vertex if one qualifies, so
+    the search first walks the chain of those.  The scan only shrinks
+    keep, so keep' - u, a subset of keep - u, stays colourable for every
+    later kept set keep'.  A proven vertex skips its trial: no peel, no
+    clique test, no search.  The kept set is the one the trials would
+    give.  On C_n^2 with n = 1 (mod 3), trial 0's coloring proves every
+    other vertex kept; with n = 2 (mod 3), trial 0 deletes vertex 0, and
+    one kept trial's coloring proves the rest.
 
     While no trial has deleted a vertex, each of these colorings is one of
     g - v, and it is returned in the dict under v: for a trial that
     searched, the coloring `find_k_coloring(g, chi - 1, others)` returns,
-    and for a proven vertex, the walk's.  If the scan deletes nothing from
+    and for a proven vertex, the search's.  If the scan deletes nothing from
     a chi-regular g, no trial set peels either (each of its vertices keeps
     at least chi - 1 neighbours), so a coloring of g - v is returned for
     every v: the regular branch of the proof route relies on it, and reads
@@ -395,8 +434,6 @@ def extract_vertex_critical(g: Graph, chi: int) -> tuple[frozenset[int], dict[in
         if proven >> v & 1:
             continue
         trial = keep ^ 1 << v  # v is still kept: only trial v deletes it
-        if not trial:
-            continue
         core = _peel_without(g, k, base, v) if base >> v & 1 else base
         if not core:
             phi = (0,) * g.n
@@ -409,6 +446,10 @@ def extract_vertex_critical(g: Graph, chi: int) -> tuple[frozenset[int], dict[in
         if phi is None:
             keep, base = trial, core
             continue
+        if not v and not cliques:  # is g itself (chi - 1)-colourable?
+            around = {phi[u] for u in _bits(g.adjacency_mask(0))}
+            if core == trial and len(around) < k or _colorable(g, k, base):
+                return None
         if core != trial:
             continue
         whole = keep == everything

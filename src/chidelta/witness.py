@@ -346,8 +346,12 @@ def find_witness(g: Graph) -> Certificate:
     theorem a connected graph that is neither complete nor an odd cycle has
     chi <= Delta, so for it chi = Delta exactly when it has no
     (Delta - 1)-coloring; a complete graph or an odd cycle has
-    chi = Delta + 1.  The exact chi is computed only to word the
-    ContractError that refuses the input.
+    chi = Delta + 1.  At Delta <= 3 one colourability test decides that.
+    At Delta >= 4 the critical scan below decides it: its first trial
+    refutes g - 0, which refutes g, or is followed at once by one test of
+    all of g, and the scan returns None if g has a (Delta - 1)-coloring.
+    The exact chi is computed only to word the ContractError that refuses
+    the input.
 
     Dispatch: degree 2 yields an edge; degree 3 yields a triangle or the
     shortest odd cycle (chordless, since a chord would split off a shorter
@@ -387,6 +391,10 @@ def find_witness(g: Graph) -> Certificate:
     return cert
 
 
+def _chi_is_not(g: Graph, delta: int) -> ContractError:
+    return ContractError(f"chromatic number {chromatic_number(g)} != max degree {delta}")
+
+
 def _derive_witness(g: Graph) -> Certificate:
     # The dispatch described in find_witness; the certificate is unverified.
     if g.n == 0:
@@ -397,8 +405,8 @@ def _derive_witness(g: Graph) -> Certificate:
     low = min_degree(g)
     complete = low == g.n - 1
     odd_cycle = low == delta == 2 and g.n % 2
-    if complete or odd_cycle or is_k_colorable(g, delta - 1):  # Brooks
-        raise ContractError(f"chromatic number {chromatic_number(g)} != max degree {delta}")
+    if complete or odd_cycle or delta <= 3 and is_k_colorable(g, delta - 1):  # Brooks
+        raise _chi_is_not(g, delta)
     if delta == 2:
         return CliqueWitness(find_clique(g, 2))
     if delta == 3:
@@ -410,7 +418,10 @@ def _derive_witness(g: Graph) -> Certificate:
             raise ContractError("triangle-free 3-chromatic graph has no odd cycle")
         return HighOddHoleWitness(cycle)
 
-    kept, colorings = extract_vertex_critical(g, delta)
+    scan = extract_vertex_critical(g, delta)
+    if scan is None:  # g has a (delta - 1)-coloring
+        raise _chi_is_not(g, delta)
+    kept, colorings = scan
     if len(kept) == delta:
         return CliqueWitness(kept)
     keep = sorted(kept)

@@ -73,8 +73,16 @@ def _relabelled_circulant(n, jumps, copy):
 
 def _scan(g):
     # the critical scan's colorings of g - v, keyed by v, as find_witness
-    # hands them on; the claimed chromatic number is the maximum degree
-    return extract_vertex_critical(g, max_degree(g))[1]
+    # hands them on; the claimed chromatic number is the maximum degree.
+    # The scan refuses a g that has a (Delta - 1)-coloring; then each g - v
+    # gets the coloring its trial would search, so that the split's and
+    # the trace's own checks still meet the colorings of such a g
+    delta = max_degree(g)
+    scan = extract_vertex_critical(g, delta)
+    if scan is not None:
+        return scan[1]
+    assert is_k_colorable(g, delta - 1)
+    return {v: find_k_coloring(g, delta - 1, set(range(g.n)) - {v}) for v in range(g.n)}
 
 
 def _split(g, v):
@@ -570,10 +578,11 @@ def test_find_witness_colours_each_subgraph_once(monkeypatch, g):
 
 
 def test_find_witness_computes_chi_once(monkeypatch):
-    # find_witness decides chi = Delta with one (Delta - 1)-colourability
-    # test (Brooks' theorem) and hands Delta to the critical scan: a valid
-    # input never computes chi, and one that fails the contract (complete,
-    # an odd cycle, or chi < Delta) computes it once, only to word the error
+    # find_witness decides chi = Delta by Brooks' theorem, with the
+    # (Delta - 1)-colourability test made by the critical scan at
+    # Delta >= 4 and before it at Delta <= 3: a valid input never computes
+    # chi, and one that fails the contract (complete, an odd cycle, or
+    # chi < Delta) computes it once, only to word the error
     calls = []
     original = coloring_mod.chromatic_number
 

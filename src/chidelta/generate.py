@@ -3,18 +3,20 @@
 Generation grows graphs one vertex at a time: every connected graph arises
 from a connected graph one vertex smaller by attaching the new vertex to a
 nonempty subset (remove any non-cut vertex to see this).  Each class is
-emitted once, already in canonical form, and no record of the classes seen
-is kept (B. D. McKay, "Isomorph-free exhaustive generation", J. Algorithms
-26, 1998).
+emitted once, and no record of the classes seen is kept (B. D. McKay,
+"Isomorph-free exhaustive generation", J. Algorithms 26, 1998).  A child is
+built on its parent's labels plus the new vertex; `canonical_form` relabels
+it only where something reads the class representative.
 
 - Canonical form.  `_search` finds the least upper-triangle adjacency code
   over the orderings that respect an isomorphism-invariant ordered
   partition, one ordering with that code (the best leaf) and automorphisms
   found on the way.  Any two orderings with the least code differ by an
   automorphism.  A class is represented by the graph decoded from its code,
-  so the representative depends only on the class.  A level is held as the
-  array of its classes' codes, 8 bytes per class: a parent is decoded when
-  it is extended, and a child when it is yielded.
+  so the representative depends only on the class.  A canonical level is
+  held as the array of its classes' codes, 8 bytes per class, and a graph
+  is decoded from its code when it is extended or yielded.  Every level
+  below the one generated is canonical: its graphs are the parents.
 - Canonical deletion.  In a graph C, take the non-cut vertices whose
   invariant (degree, then the sum of the neighbours' degrees) is largest,
   and among them the one the best leaf places last.  An isomorphism carries
@@ -41,8 +43,11 @@ children that would be rejected) and kept.  No class is emitted
 twice: if kept children P + S and P' + S' are isomorphic, some isomorphism
 between them takes w to w, since in both w lies in the orbit of the
 canonical deletion vertex.  It restricts to an isomorphism of P onto P', so
-P = P' as each class has one representative, and to an automorphism of P
-taking S to S', so S = S' as both are least in their orbit.
+P = P' as the parents are one graph per class, and to an automorphism of P
+taking S to S', so S = S' as both are least in their orbit.  The argument
+needs one parent per class, not canonical labels on the children, so a
+level that is only streamed needs no search of the children that the
+acceptance test does not search.
 
 Orbits are taken under the group generated by the automorphisms `_search`
 finds, so the argument needs that group to be the whole automorphism group.
@@ -229,31 +234,29 @@ def _components(adj: tuple[int, ...], keep: int) -> list[int]:
     return out
 
 
-@lru_cache(maxsize=None)
-def _connected_level(n: int) -> Sequence[int]:
-    """The `_search` code of each isomorphism class of connected graphs on n
-    vertices, in emission order, as an `array("Q")` of 64-bit words (8 bytes
-    per class; a code has n(n - 1)/2 bits).  The class's representative is the
-    graph `_triangle_rows` decodes from its code.  The array is cached and
-    shared: callers read it and never change it.
+def _children(n: int) -> Iterator[tuple[list[int], int | None]]:
+    """The rows of each child kept at level n, in emission order, labelled as
+    built: the parent's representative on 0..n - 2 and the new vertex
+    w = n - 1.  Each comes with its `_search` code when the acceptance test
+    searched it, else None.
 
-    Each representative P of level n - 1 gets a new vertex w = n - 1 joined to
-    each mask least in its orbit under P's automorphisms, and the child C is
-    kept exactly when w lies in the Aut(C)-orbit of C's canonical deletion
-    vertex.  Invariants are packed as degree << 8 | neighbour degree sum,
-    which fits for n <= 16.  A child in which some non-cut vertex has a
-    larger invariant than w is rejected before its canonical search.  Before
-    that, a mask of 2 to top - 1 vertices, top the largest degree of a
-    non-cut vertex of P, is not even built: that vertex beats w by degree.
-    Only vertices whose degree in C reaches k = |mask|, the degree of w, are
-    compared with w.  The module docstring shows that this emits every class
-    exactly once.
+    Each representative P of level n - 1 gets w joined to each mask least in
+    its orbit under P's automorphisms, and the child C is kept exactly when w
+    lies in the Aut(C)-orbit of C's canonical deletion vertex.  Invariants
+    are packed as degree << 8 | neighbour degree sum, which fits for n <= 16.
+    A child in which some non-cut vertex has a larger invariant than w is
+    rejected before any search.  Before that, a mask of 2 to top - 1
+    vertices, top the largest degree of a non-cut vertex of P, is not even
+    built: that vertex beats w by degree.  Only vertices whose degree in C
+    reaches k = |mask|, the degree of w, are compared with w.  A child in
+    which no non-cut vertex ties w is kept without a search: w alone has
+    the largest invariant, so it is the canonical deletion vertex.  Only a
+    tied child is searched, for the orbit test.  The module docstring shows
+    that this emits every class exactly once.
     """
-    from array import array  # loaded only where graphs are generated
-
     if n == 1:
-        return array("Q", (0,))
-    out = array("Q")
+        yield [0], 0
+        return
     new = n - 1
     everyone = (1 << new) - 1
     for parent_code in _connected_level(new):
@@ -293,24 +296,49 @@ def _connected_level(n: int) -> Sequence[int]:
             else:  # no non-cut vertex beats w
                 rows = [row | (mask >> v & 1) << new for v, row in enumerate(parent)]
                 rows.append(mask)
-                adj = tuple(rows)
-                code, autos, best_path = _search(n, adj)
-                if tied != 1 << new:
-                    last = next(v for v in reversed(best_path) if tied >> v & 1)
-                    if not _orbit(last, autos) >> new & 1:
-                        continue
-                out.append(code)
-    return out
+                if tied == 1 << new:
+                    yield rows, None
+                    continue
+                code, autos, best_path = _search(n, tuple(rows))
+                last = next(v for v in reversed(best_path) if tied >> v & 1)
+                if _orbit(last, autos) >> new & 1:
+                    yield rows, code
 
 
-def generate_connected_graphs(n: int) -> Iterator[Graph]:
+@lru_cache(maxsize=None)
+def _connected_level(n: int) -> Sequence[int]:
+    """The `_search` code of each isomorphism class of connected graphs on n
+    vertices, in emission order, as an `array("Q")` of 64-bit words (8 bytes
+    per class; a code has n(n - 1)/2 bits).  The class's representative is the
+    graph `_triangle_rows` decodes from its code.  The array is cached and
+    shared: callers read it and never change it.  Only the children of
+    `_children` that come without a code are searched here.
+    """
+    from array import array  # loaded only where graphs are generated
+
+    return array(
+        "Q",
+        (_search(n, tuple(rows))[0] if code is None else code for rows, code in _children(n)),
+    )
+
+
+def generate_connected_graphs(n: int, *, canonical: bool = True) -> Iterator[Graph]:
     """Stream one representative per isomorphism class of connected graphs on n vertices.
+
+    With `canonical` each is the class's representative, as `canonical_form`
+    gives it, and level n's codes are built and cached.  Without it the same
+    classes come in the same order, each labelled as built (level n - 1's
+    representative plus vertex n - 1), and only the children whose
+    acceptance needs it are searched; `canonical_form` of the i-th graph is
+    the i-th graph of the canonical stream.
 
     The order is checked here; the level is built and decoded as the
     returned iterator is read.
     """
     if not 1 <= n <= GENERATION_CAP:
         raise ValueError(f"order {n} outside supported range 1..{GENERATION_CAP}")
+    if not canonical:
+        return (_graph(n, tuple(rows)) for rows, _ in _children(n))
     return _representatives(n)
 
 
@@ -318,3 +346,9 @@ def _representatives(n: int) -> Iterator[Graph]:
     """Level n's representatives, each decoded from its code as it is read."""
     for code in _connected_level(n):
         yield _graph(n, tuple(_triangle_rows(n, code)))
+
+
+def canonical_form(g: Graph) -> Graph:
+    """The representative of g's isomorphism class: the graph decoded from
+    its `_search` code, which the canonical stream yields for a connected g."""
+    return _graph(g.n, tuple(_triangle_rows(g.n, _search(g.n, g._adj)[0])))

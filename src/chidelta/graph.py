@@ -3,10 +3,10 @@
 `Graph(n, adj)` is the one constructor that checks its rows: each must lie
 in range, hold no loop and agree with the others.  Every other builder here
 (`graph_from_edges`, after its own range and loop checks on each edge,
-`induced_subgraph`, `complement`, `cycle_power` and `decode_graph6`) and
-`generate.generate_connected_graphs` make rows that are symmetric, loopless
-and in range by construction, and wrap them with `_graph`, which checks
-nothing.
+`induced_subgraph`, `complement`, `cycle_power` and `decode_graph6`),
+`generate.generate_connected_graphs` and `generate.canonical_form` make
+rows that are symmetric, loopless and in range by construction, and wrap
+them with `_graph`, which checks nothing.
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ from collections.abc import Iterable
 # deserialize_certificate is re-exported: bench/run.py imports it from here.
 from .certificate import certificate_kind, deserialize_certificate, verify_certificate  # noqa: F401
 from .coloring import chromatic_number, is_k_colorable
-from .generate import GENERATION_CAP, generate_connected_graphs
+from .generate import GENERATION_CAP, canonical_form, generate_connected_graphs
 from .graph import (
     GRAPH6_HEADER,
     Graph,
@@ -188,6 +188,8 @@ def _check(item: Graph | str, method: str, rec: dict) -> str | None:
     if not _in_cohort(g):
         return None
     rec["cohort"] = True
+    if not isinstance(item, str):
+        g = canonical_form(g)  # the routes see the class representative, however it came
     if method in ("proof", "both"):
         # find_witness verifies its own certificate and raises ContractError
         rec["proof_kind"] = certificate_kind(find_witness(g))
@@ -219,8 +221,8 @@ def _sweep_task(args: tuple[Graph | str, str]) -> dict:
         # any other failure still names its graph6 line, in the pool or not
         rec["error"] = f"internal error: {type(exc).__name__}: {exc}"
     if rec["error"] is not None:
-        # a generated graph gets its graph6 line only when it fails
-        rec["line"] = item if isinstance(item, str) else encode_graph6(item)
+        # a generated graph gets its graph6 line, canonical, only when it fails
+        rec["line"] = item if isinstance(item, str) else encode_graph6(canonical_form(item))
     return rec
 
 
@@ -265,12 +267,17 @@ def theorem_sweep(
     different worker counts differ only in `jobs` and each order's
     `seconds`.  The first verification failure, or any other exception in
     the per-graph work, aborts with the offending graph6 line.
-    Generated graphs reach their task as graphs (pickled when jobs > 1), and
-    a generated graph is encoded as graph6 only if it fails.  Only a corpus
-    goes through the codec: it is checked up front without building graphs
-    (a malformed line raises GraphError naming its line number), then each
-    line is decoded once, in its task, and must re-encode to itself; a
-    disconnected graph there is a failure of its line.
+    Generated graphs reach their task as graphs (pickled when jobs > 1).
+    The top order is generated labelled as built, without canonical codes;
+    the lower ones are canonical, as their codes are built anyway as parents
+    of the next order.  The task hands each cohort graph to the routes as
+    its `canonical_form`, so certificates and reports do not depend on how
+    it was labelled, and encodes a generated graph as graph6, in canonical
+    form, only if it fails.  Only a corpus goes through the codec: it is
+    checked up front without building graphs (a malformed line raises
+    GraphError naming its line number), then each line is decoded once, in
+    its task, and must re-encode to itself; a disconnected graph there is a
+    failure of its line.
     """
     if method not in ("proof", "oracle", "both"):
         raise ValueError(f"unknown method {method!r}")
@@ -290,7 +297,11 @@ def theorem_sweep(
         for n in range(min_n, max_n + 1):
             tally = OrderTally(n)
             started = time.perf_counter()
-            items = generate_connected_graphs(n) if by_order is None else by_order.get(n, ())
+            if by_order is None:
+                # a lower order's codes are built anyway, as parents of the next
+                items = generate_connected_graphs(n, canonical=n < max_n)
+            else:
+                items = by_order.get(n, ())
             tasks = ((item, method) for item in items)
             results = pool.imap(_sweep_task, tasks, chunksize=32) if pool else map(_sweep_task, tasks)
             for rec in results:

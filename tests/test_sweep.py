@@ -377,14 +377,37 @@ def test_pruning_a_complete_parent_is_fast():
 
 
 def test_generation_rejects_out_of_range():
-    # the order is checked at the call, before the iterator is read
-    for n in (0, 10):
+    # the order is checked at the call, before the iterator is read, for
+    # the canonical and the streamed level alike
+    for canonical, n in itertools.product((True, False), (0, 10)):
+        with pytest.raises(ValueError, match=f"order {n} outside supported range 1..9"):
+            generate_connected_graphs(n, canonical=canonical)
         with pytest.raises(ValueError):
-            generate_connected_graphs(n)
-    with pytest.raises(ValueError):
-        list(generate_connected_graphs(0))
-    with pytest.raises(ValueError):
-        list(generate_connected_graphs(10))
+            list(generate_connected_graphs(n, canonical=canonical))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_streamed_level_has_the_canonical_classes_in_order(n):
+    # labelled as built: the parent's representative plus vertex n - 1
+    built = list(generate_connected_graphs(n, canonical=False))
+    canonical = list(generate_connected_graphs(n))
+    assert len(built) == len(canonical) == KNOWN_COUNTS[n]
+    parents = {_rows(p) for p in generate_connected_graphs(n - 1)} if n > 1 else {()}
+    for g, rep in zip(built, canonical):
+        assert generate_mod.canonical_form(g) == rep
+        assert tuple(row & ~(1 << (n - 1)) for row in _rows(g)[:-1]) in parents
+    # from n = 4 on some class is built off its canonical labels
+    assert built != canonical or n <= 3
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_canonical_form_is_the_representative(n):
+    rng = random.Random(n)
+    for rep in generate_connected_graphs(n):
+        assert generate_mod.canonical_form(rep) == rep
+        for _ in range(3):
+            relabelled = _relabel(rep, _shuffled(rng, n))
+            assert generate_mod.canonical_form(relabelled) == rep, encode_graph6(rep)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -611,6 +634,68 @@ def test_sweep_aborts_on_bogus_certificate(monkeypatch):
     # the failing graph is encoded once, to name it; with jobs=2 a worker
     # encodes it, so the counters here see the serial run only
     assert calls == {"decode_graph6": [], "encode_graph6": [failing]}
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_routes_see_canonical_graphs(monkeypatch, jobs):
+    # the top order is streamed labelled as built, yet each route gets the
+    # class representative; a worker reports a wrong one as its failure
+    seen = []
+    for name in ("find_witness", "oracle_witness"):
+        original = getattr(sweep_mod, name)
+
+        def checking(g, original=original):
+            seen.append(g)
+            assert g == generate_mod.canonical_form(g), "route got a non-canonical graph"
+            return original(g)
+
+        monkeypatch.setattr(sweep_mod, name, checking)
+    report = theorem_sweep(7, "both", jobs=jobs)
+    assert report.ok and report.orders[-1].cohort == 107
+    if jobs == 1:  # the pool's workers record into their own copies
+        assert len(seen) == 2 * report.total_cohort
+
+
+def test_bogus_certificate_at_the_top_order_names_the_canonical_line(monkeypatch):
+    def planted(g):
+        return CliqueWitness(frozenset(range(g.n)))
+
+    monkeypatch.setattr(sweep_mod, "oracle_witness", planted)
+    failing = next(
+        g
+        for g in generate_connected_graphs(5)
+        if sweep_mod._in_cohort(g) and not verify_certificate(g, planted(g))
+    )
+    calls = _count_codec_calls(monkeypatch)
+    for jobs in (1, 2):
+        with pytest.raises(SweepError) as err:
+            theorem_sweep(5, "oracle", min_n=5, jobs=jobs)
+        assert err.value.line == encode_graph6(failing)
+        assert err.value.detail.startswith("oracle certificate rejected")
+    # the serial run encodes the failing graph, in canonical form, to name it
+    assert calls == {"decode_graph6": [], "encode_graph6": [failing]}
+
+
+# Canonical searches in a cold `theorem_sweep(8, "both")`: 996 on the
+# parents of levels 1..7, the children of those levels without a code and
+# the tied children of every level, and one canonical form per cohort graph.
+# Searching every child of level 8 as well made 14,151.
+SWEEP8_CANONICAL_SEARCHES = 7222
+
+
+def test_cold_sweep_searches_only_where_a_label_is_read(monkeypatch):
+    generate_mod._connected_level.cache_clear()
+    calls = []
+    original = generate_mod._search
+
+    def counting(n, adj):
+        calls.append(n)
+        return original(n, adj)
+
+    monkeypatch.setattr(generate_mod, "_search", counting)
+    report = theorem_sweep(8, "both")
+    assert report.ok and report.total_graphs == 12113 and report.total_cohort == 567
+    assert len(calls) == SWEEP8_CANONICAL_SEARCHES
 
 
 def test_sweep_verifies_each_certificate_once(monkeypatch):

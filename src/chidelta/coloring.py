@@ -7,12 +7,15 @@ every colouring it hands out is reproducible for a fixed graph labeling.  It
 keeps each vertex's saturation incrementally, touching only the neighbours of
 the vertex it paints or unpaints, and backtracks over an explicit stack of
 (vertex, colour, colours used before it) frames, so search depth is not
-bounded by the interpreter's recursion limit.  The critical-subgraph scan
-searches a trial only when no recolouring of a colouring it already has
-proves the trial's vertex kept, and it checks the chromatic number it is
-given: its first trial either refutes the whole graph or is followed by
-one test of it.  A Kempe chain, a two-colour component of a proper partial
-colouring, is the frozenset of its vertices.
+bounded by the interpreter's recursion limit.  Every colourability
+question, each trial of the critical-subgraph scan included, is decided
+one way: peel to the k-core, let a greedy clique of more than k vertices
+refute it, and otherwise search it.  The scan runs a trial only when no
+recolouring of a colouring it already has proves the trial's vertex kept,
+and it checks the chromatic number it is given: its first trial either
+refutes the whole graph or is followed by one test of it.  A Kempe chain,
+a two-colour component of a proper partial colouring, is the frozenset of
+its vertices.
 
 Inside the module a vertex set is a bitmask, bit v set when v is in it, like
 the graph's adjacency rows: the colourability decision peels, bounds and
@@ -149,27 +152,6 @@ def _greedy_clique(g: Graph, inside: int) -> int:
     return size
 
 
-def _has_clique(g: Graph, size: int, mask: int) -> bool:
-    # Whether the vertices in the bitmask `mask` include `size` pairwise
-    # adjacent ones.  Exact: depth-first over ascending ids, one stack entry
-    # of untried candidates per chosen vertex, dropping an entry once its
-    # candidates are too few to finish a clique.
-    adj = g.adjacency_mask
-    stack = [mask]
-    while stack:
-        need = size - len(stack) + 1  # vertices still to choose
-        if need <= 0:
-            return True
-        cand = stack[-1]
-        if cand.bit_count() < need:
-            stack.pop()
-            continue
-        low = cand & -cand
-        stack[-1] = cand ^ low
-        stack.append(cand & adj(low.bit_length() - 1))
-    return False
-
-
 def _peel(g: Graph, k: int, inside: int) -> int:
     # The k-core of the subgraph induced by the bitmask `inside`, as a mask.
     # A vertex with fewer than k neighbours can always be coloured last, so
@@ -185,34 +167,22 @@ def _peel(g: Graph, k: int, inside: int) -> int:
             return inside
 
 
-def _peel_without(g: Graph, k: int, core: int, v: int) -> int:
-    # The k-core of the bitmask `core` minus v, where `core` is a k-core
-    # (v in it).  Removing v lowers only its neighbours' counts, and each
-    # later removal only its own neighbours', so a worklist seeded with N(v)
-    # meets every vertex that can drop below k.  The k-core is unique, so
-    # this is `_peel(g, k, core ^ 1 << v)`, found without a pass over core.
-    adj = g.adjacency_mask
-    inside = core ^ 1 << v
-    todo = adj(v) & inside
-    while todo:
-        low = todo & -todo
-        todo ^= low
-        u = adj(low.bit_length() - 1) & inside
-        if u.bit_count() < k:
-            inside ^= low
-            todo |= u
-    return inside
+def _core_coloring(g: Graph, k: int, core: int) -> Coloring | None:
+    # A k-coloring of exactly the vertices of the bitmask `core`, a k-core,
+    # or None: an empty core is coloured at once, a greedy clique of more
+    # than k vertices refutes it, and otherwise one exact search decides.
+    # The clique only cuts short a search that would return None.
+    if not core:
+        return (0,) * g.n
+    if _greedy_clique(g, core) > k:
+        return None
+    return _search(g, k, core)
 
 
 def _colorable(g: Graph, k: int, inside: int) -> bool:
-    # Whether the vertices of the bitmask `inside` have a k-coloring: an
-    # empty k-core is coloured at once, a greedy clique of more than k
-    # vertices refutes the core, and otherwise one exact search on the core
-    # decides.
-    core = _peel(g, k, inside)
-    if not core:
-        return True
-    return _greedy_clique(g, core) <= k and _search(g, k, core) is not None
+    # Whether the vertices of the bitmask `inside` have a k-coloring,
+    # decided on their k-core.
+    return _core_coloring(g, k, _peel(g, k, inside)) is not None
 
 
 def is_k_colorable(g: Graph, k: int, on: Iterable[int] | None = None) -> bool:
@@ -367,25 +337,17 @@ def extract_vertex_critical(
     suffices: a vertex found necessary in a superset stays necessary in
     every later subset, so a rescan would delete nothing.
 
-    Both steps do only local work, and both shortcuts are exact.  The scan
-    keeps the (chi - 1)-core of the kept set, and the k-core is unique:
-    the core of keep - v is the core of (core of keep) - v.  So a trial
-    whose v is outside the kept set's core has that core as its own, and
-    otherwise a peel seeded with v's neighbours finds it, touching only
-    vertices whose count v's removal lowers.  On a graph of minimum degree
-    at least chi nothing peels, and each trial costs N(v).  And a greedy
-    clique is a clique, so one of more than chi - 1 vertices is a K_chi:
-    the first greedy clique that fails to refute its trial is followed by
-    one exact test for a K_chi in the kept set, and if there is none (no
-    4-critical squared cycle has a K_4) no later trial computes a greedy
-    clique.  Where a greedy clique refutes first, that test never runs.
+    The scan keeps the (chi - 1)-core of the kept set, and the k-core is
+    unique: the core of keep - v is the core of (core of keep) - v.  So a
+    trial whose v is outside the kept set's core has that core as its own,
+    and otherwise the trial peels that core minus v, not all of keep - v.
 
     The scan also checks the claim that chi is not too high.  If trial 0
     deletes vertex 0, g - 0 and so g have no (chi - 1)-coloring.  Otherwise
     the test of all of g follows at once, before any other trial: a colour
     that trial 0's coloring of g - 0 leaves free around vertex 0 colours
-    g, and else, unless trial 0 found a K_chi, one `is_k_colorable` test
-    of g decides.  If g is (chi - 1)-colourable, the scan returns None.
+    g, and else one `is_k_colorable` test of g decides.  If g is
+    (chi - 1)-colourable, the scan returns None.
 
     A kept vertex v is kept because the other remaining vertices have a
     (chi - 1)-coloring.  When peeling removed none of them, that coloring
@@ -401,7 +363,7 @@ def extract_vertex_critical(
     the search first walks the chain of those.  The scan only shrinks
     keep, so keep' - u, a subset of keep - u, stays colourable for every
     later kept set keep'.  A proven vertex skips its trial: no peel, no
-    clique test, no search.  The kept set is the one the trials would
+    greedy clique, no search.  The kept set is the one the trials would
     give.  On C_n^2 with n = 1 (mod 3), trial 0's coloring proves every
     other vertex kept; with n = 2 (mod 3), trial 0 deletes vertex 0, and
     one kept trial's coloring proves the rest.
@@ -427,26 +389,18 @@ def extract_vertex_critical(
     k = chi - 1
     everything = keep = (1 << g.n) - 1
     base = _peel(g, k, keep)  # the k-core of keep
-    cliques = None  # whether keep has a K_chi, asked once a greedy clique fails
     colorings: dict[int, Coloring] = {}
     proven = 0  # later trials' vertices proven kept by recolouring
     for v in range(g.n):
         if proven >> v & 1:
             continue
         trial = keep ^ 1 << v  # v is still kept: only trial v deletes it
-        core = _peel_without(g, k, base, v) if base >> v & 1 else base
-        if not core:
-            phi = (0,) * g.n
-        elif cliques is not False and _greedy_clique(g, core) > k:
-            phi, cliques = None, True
-        else:
-            phi = _search(g, k, core)
-        if cliques is None and core:  # this trial's greedy clique did not refute it
-            cliques = _has_clique(g, chi, keep)
+        core = _peel(g, k, base ^ 1 << v) if base >> v & 1 else base
+        phi = _core_coloring(g, k, core)
         if phi is None:
             keep, base = trial, core
             continue
-        if not v and not cliques:  # is g itself (chi - 1)-colourable?
+        if not v:  # is g itself (chi - 1)-colourable?
             around = {phi[u] for u in _bits(g.adjacency_mask(0))}
             if core == trial and len(around) < k or _colorable(g, k, base):
                 return None

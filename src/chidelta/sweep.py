@@ -36,27 +36,16 @@ class SweepError(RuntimeError):
 class OrderTally:
     """What the sweep found at one order."""
 
-    def __init__(
-        self,
-        n: int,
-        graphs: int = 0,
-        cohort: int = 0,
-        proof_kinds: dict[str, int] | None = None,
-        oracle_kinds: dict[str, int] | None = None,
-        kind_mismatches: int = 0,
-        verification_failures: int = 0,
-        exceptional: int = 0,
-        seconds: float = 0.0,
-    ):
+    def __init__(self, n: int):
         self.n = n
-        self.graphs = graphs
-        self.cohort = cohort
-        self.proof_kinds = {} if proof_kinds is None else proof_kinds
-        self.oracle_kinds = {} if oracle_kinds is None else oracle_kinds
-        self.kind_mismatches = kind_mismatches
-        self.verification_failures = verification_failures
-        self.exceptional = exceptional
-        self.seconds = seconds
+        self.graphs = 0
+        self.cohort = 0
+        self.proof_kinds: dict[str, int] = {}
+        self.oracle_kinds: dict[str, int] = {}
+        self.kind_mismatches = 0
+        self.verification_failures = 0
+        self.exceptional = 0
+        self.seconds = 0.0
 
     def to_dict(self) -> dict:
         return {
@@ -75,21 +64,13 @@ class OrderTally:
 class SweepReport:
     """Per-order tallies of one sweep and how it was run."""
 
-    def __init__(
-        self,
-        min_n: int,
-        max_n: int,
-        method: str,
-        jobs: int,
-        built_in_corpus: bool,
-        orders: list[OrderTally] | None = None,
-    ):
+    def __init__(self, min_n: int, max_n: int, method: str, jobs: int, built_in_corpus: bool):
         self.min_n = min_n
         self.max_n = max_n
         self.method = method
         self.jobs = jobs
         self.built_in_corpus = built_in_corpus
-        self.orders = [] if orders is None else orders
+        self.orders: list[OrderTally] = []
 
     @property
     def total_graphs(self) -> int:

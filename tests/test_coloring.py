@@ -15,7 +15,6 @@ from chidelta.coloring import (
     shortest_path_in_chain,
 )
 from chidelta.graph import cycle_power, graph_from_edges, induced_subgraph, max_degree, min_degree
-from chidelta.oracle import find_clique
 
 from conftest import (
     brute_chromatic,
@@ -439,8 +438,7 @@ def test_greedy_clique_matches_reference():
 
 def test_peel_matches_networkx_k_core():
     # the k-core of an induced subgraph, read off a vertex bitmask, against
-    # networkx's core on the same subgraph; and the seeded peel of a core
-    # minus any one of its vertices against both
+    # networkx's core on the same subgraph
     rng = random.Random(6161)
     for _ in range(300):
         n = rng.randint(0, 14)
@@ -452,27 +450,6 @@ def test_peel_matches_networkx_k_core():
                 want = sum(1 << v for v in nx.k_core(sub, k))
                 core = coloring_mod._peel(g, k, sum(1 << v for v in verts))
                 assert core == want, (n, sorted(g.edges()), verts, k)
-                members = list(nx.k_core(sub, k))
-                for v in members:
-                    rest = core ^ 1 << v
-                    others = sub.subgraph(u for u in members if u != v)
-                    want = sum(1 << u for u in nx.k_core(others, k))
-                    got = coloring_mod._peel_without(g, k, core, v)
-                    assert got == coloring_mod._peel(g, k, rest) == want, (
-                        n, sorted(g.edges()), verts, k, v
-                    )
-
-
-def test_has_clique_matches_the_oracle():
-    # the critical scan's exact clique test against the oracle's clique
-    # search, at every size from a single vertex to one more than n
-    rng = random.Random(5151)
-    for _ in range(300):
-        n = rng.randint(1, 12)
-        g = random_graph(rng, n, rng.choice([0.2, 0.35, 0.5, 0.7, 0.85]))
-        for s in range(1, n + 2):
-            want = find_clique(g, s) is not None
-            assert coloring_mod._has_clique(g, s, (1 << n) - 1) == want, (n, sorted(g.edges()), s)
 
 
 def test_extract_critical_matches_restart_scan():

@@ -23,12 +23,13 @@ makes more than `MOST_GOLDEN_SEARCHES` searches.
 The scan decides chi >= Delta itself: a first trial that deletes vertex 0
 refutes g, and otherwise one test of all of g follows it at once.  On the
 4-critical squared cycles the scan makes one trial search, one peel of a
-trial and one greedy clique, the one that leads to its single clique
-test, all in trial 0, then the test of g; trial 0's colouring proves
-every other vertex kept.  Where a greedy clique refutes a trial before
-one fails, the exact clique test must not run.  Where chi equals the
-maximum degree, the kept set must have the shape `find_witness` reads its
-branch off, and an input with chi < Delta is refused as it was.
+trial and one greedy clique, all in trial 0, then the test of g; trial
+0's colouring proves every other vertex kept.  The scan peels from the
+kept set's core, so on a clique with a long pendant path it peels once per
+clique vertex, not once per trial.  A trial a greedy clique refutes
+searches nothing.  Where chi equals the maximum degree, the kept set must
+have the shape `find_witness` reads its branch off, and an input with
+chi < Delta is refused as it was.
 """
 
 from __future__ import annotations
@@ -194,34 +195,28 @@ FOUR_CRITICAL_SQUARES = [n for n in range(10, 62) if n % 3 == 1] + [100, 199, 40
 @pytest.mark.parametrize("n", FOUR_CRITICAL_SQUARES)
 def test_scan_neither_peels_nor_bounds_a_critical_squared_cycle(monkeypatch, n):
     # C_n^2 is 4-regular with chi = 4, so it is its own 3-core and no trial
-    # set peels, and it has no K_4, so no greedy clique can refute a trial:
-    # trial 0's greedy clique fails and the one clique test says no K_4.
-    # Trial 0 keeps vertex 0, so the test of all of g follows: its peel
-    # removes nothing and its greedy clique bounds nothing.  Trial 0's
-    # colouring proves every other vertex kept, so no later trial runs at
-    # all.  Every peel is recorded with what it removes, from all of C_n^2
-    # or from C_n^2 - 0
+    # set peels, and it has no K_4, so no greedy clique can refute a trial.
+    # The scan peels the kept set to its core, then trial 0 peels the core
+    # minus vertex 0 and bounds it by a greedy clique.  Trial 0 keeps
+    # vertex 0, so the test of all of g follows: its peel removes nothing
+    # and its greedy clique bounds nothing.  Trial 0's colouring proves
+    # every other vertex kept, so no later trial runs at all.  Every peel
+    # is recorded with what it removes, from C_n^2 or from C_n^2 - 0
     calls = []
 
     def recording(name, original, *args):
         got = original(*args)
-        if name == "_peel":
-            calls.append(("_peel", args[2] & ~got))
-        elif name == "_peel_without":
-            calls.append(("_peel_without", args[3], args[2] & ~got & ~(1 << args[3])))
-        else:
-            calls.append((name, got))
+        calls.append((name, args[2] & ~got if name == "_peel" else got))
         return got
 
-    for name in ("_peel", "_peel_without", "_greedy_clique", "_has_clique"):
+    for name in ("_peel", "_greedy_clique"):
         monkeypatch.setattr(
             coloring_mod, name, functools.partial(recording, name, getattr(coloring_mod, name))
         )
     kept, colorings = extract_vertex_critical(cycle_power(n, 2), 4)
     assert kept == set(range(n)) and sorted(colorings) == list(range(n))
     assert calls == [
-        ("_peel", 0), ("_peel_without", 0, 0), ("_greedy_clique", 3), ("_has_clique", False),
-        ("_peel", 0), ("_greedy_clique", 3),
+        ("_peel", 0), ("_peel", 0), ("_greedy_clique", 3), ("_peel", 0), ("_greedy_clique", 3),
     ]
 
 
@@ -248,15 +243,32 @@ def test_scan_searches_a_critical_squared_cycle_once(monkeypatch, n):
 @pytest.mark.parametrize("d", [4, 5, 6])
 def test_scan_skips_the_clique_test_once_a_greedy_clique_refutes(monkeypatch, d):
     # K_d with a pendant path of three vertices at vertex 0: the trials on
-    # the clique's vertices peel to nothing, and trial d, on the path, keeps
-    # all of K_d, whose greedy clique refutes it; that proves a K_d, so the
-    # exact clique test never runs
+    # the clique's vertices peel to nothing, and the trials on the path
+    # keep all of K_d, whose greedy clique refutes them, so the scan keeps
+    # K_d without a single search
     calls = []
-    original = coloring_mod._has_clique
-    monkeypatch.setattr(coloring_mod, "_has_clique", lambda *args: calls.append(args) or original(*args))
+    original = coloring_mod._search
+    monkeypatch.setattr(coloring_mod, "_search", lambda *args: calls.append(args) or original(*args))
     edges = [(i, j) for i in range(d) for j in range(i + 1, d)] + [(0, d), (d, d + 1), (d + 1, d + 2)]
     kept, _ = extract_vertex_critical(graph_from_edges(d + 3, edges), d)
     assert kept == set(range(d)) and calls == []
+
+
+@pytest.mark.parametrize("d,m", [(4, 40), (4, 400), (5, 40), (5, 400)])
+def test_scan_peels_from_the_kept_core(monkeypatch, d, m):
+    # K_d with a pendant path of m vertices, the path labelled first: the
+    # kept set's (d - 1)-core is K_d from the start, so each path trial has
+    # that core as its own and peels nothing, and only the d trials on K_d
+    # peel.  One peel of the whole graph, then one per clique vertex,
+    # whatever m is; peeling each trial set afresh takes m + d
+    calls = []
+    original = coloring_mod._peel
+    monkeypatch.setattr(coloring_mod, "_peel", lambda *args: calls.append(args) or original(*args))
+    edges = [(i, i + 1) for i in range(m)]
+    edges += [(m + i, m + j) for i in range(d) for j in range(i + 1, d)]
+    kept, _ = extract_vertex_critical(graph_from_edges(m + d, edges), d)
+    assert kept == set(range(m, m + d))
+    assert len(calls) <= 1 + d, len(calls)
 
 
 def _whole_graph_tests(monkeypatch, n):
@@ -283,12 +295,11 @@ def _whole_graph_tests(monkeypatch, n):
     [(m, tuple(range(2, m + 1)) + (1,)) for m in (15, 17, 19, 21)],
 )
 def test_find_witness_pinned_on_c_m_k2(monkeypatch, m, cycle):
-    # C_m[K_2] is 5-regular with chi = 5 and no K_5, so the scan skips every
-    # greedy clique on a graph whose refutations backtrack hard; its
-    # certificate is the one it had while every trial computed one, and
-    # while every kept trial after the first deletion searched.  Trial 0
-    # deletes vertex 0, which refutes g, so no test of all of g runs.
-    # m = 21 takes about 3 s
+    # C_m[K_2] is 5-regular with chi = 5 and no K_5, so no greedy clique
+    # refutes a trial on a graph whose refutations backtrack hard; its
+    # certificate is the one it had while every trial searched afresh.
+    # Trial 0 deletes vertex 0, which refutes g, so no test of all of g
+    # runs.  m = 21 takes about 3 s
     calls = _whole_graph_tests(monkeypatch, 2 * m)
     assert find_witness(_c_m_k2(m)) == HighOddHoleWitness(cycle)
     assert calls == []

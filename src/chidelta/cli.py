@@ -61,13 +61,16 @@ def _build_parser() -> _Parser:
     w.add_argument("--graph", required=True, help="graph6 line, or '-' for stdin")
     w.add_argument("--method", choices=("proof", "oracle", "both"), default="proof")
     w.add_argument("--format", choices=("json", "text"), default="text")
+    w.set_defaults(run=_cmd_witness)
 
     c = sub.add_parser("chi", help="print chromatic number and maximum degree")
     c.add_argument("--graph", required=True, help="graph6 line, or '-' for stdin")
+    c.set_defaults(run=_cmd_chi)
 
     v = sub.add_parser("verify", help="check a certificate against a graph")
     v.add_argument("--graph", required=True, help="graph6 line, or '-' for stdin")
     v.add_argument("--certificate", required=True, help="path to certificate JSON")
+    v.set_defaults(run=_cmd_verify)
 
     s = sub.add_parser("sweep", help="exhaustive check over small connected graphs")
     s.add_argument("--max-n", type=int, required=True)
@@ -76,10 +79,12 @@ def _build_parser() -> _Parser:
     s.add_argument("--jobs", type=int, default=1, help="worker processes")
     s.add_argument("--corpus", help="replay graph6 lines from a file instead of generating")
     s.add_argument("--json", dest="json_out", help="also write the JSON report to this path")
+    s.set_defaults(run=_cmd_sweep)
 
     g = sub.add_parser("gen", help="emit generator graphs as graph6")
     g.add_argument("--squared-cycle", type=int, required=True, metavar="N",
                    help=f"square of the N-cycle, 3 <= N <= {GRAPH6_MAX_ORDER}")
+    g.set_defaults(run=_cmd_gen)
     return parser
 
 
@@ -158,10 +163,6 @@ def _cmd_sweep(args) -> int:
         report = theorem_sweep(
             args.max_n, method=args.method, min_n=args.min_n, jobs=args.jobs, corpus=corpus
         )
-    except SweepError as exc:
-        print(f"sweep failed: {exc.detail}", file=sys.stderr)
-        print(f"offending graph6 line: {exc.line}", file=sys.stderr)
-        return EX_REJECT
     except GraphError:
         raise  # malformed corpus line: input contract, not usage
     except ValueError as exc:
@@ -169,7 +170,7 @@ def _cmd_sweep(args) -> int:
     print(report.to_text())
     if args.json_out:
         with open(args.json_out, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json() + "\n")
+            fh.write(json.dumps(report.to_dict(), indent=2) + "\n")
     return EX_OK if report.ok else EX_REJECT
 
 
@@ -182,23 +183,14 @@ def _cmd_gen(args) -> int:
 
 
 def cli_dispatch(argv: list[str]) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EX_USAGE
+        args = _build_parser().parse_args(argv)
+        return args.run(args)
     except SystemExit as exc:  # --help and friends
         return int(exc.code or 0)
-    handlers = {
-        "witness": _cmd_witness,
-        "chi": _cmd_chi,
-        "verify": _cmd_verify,
-        "sweep": _cmd_sweep,
-        "gen": _cmd_gen,
-    }
-    try:
-        return handlers[args.command](args)
+    except SweepError as exc:
+        print(f"sweep failed: {exc.detail}\noffending graph6 line: {exc.line}", file=sys.stderr)
+        return EX_REJECT
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EX_USAGE

@@ -29,7 +29,7 @@ from __future__ import annotations
 from bisect import insort
 from collections.abc import Container, Iterable, Iterator
 
-from .graph import Graph, _bits
+from .graph import Graph, _bits, _reach
 
 Coloring = tuple[int, ...]
 
@@ -220,17 +220,8 @@ def kempe_chain(g: Graph, c: Coloring, start: int, a: int, b: int) -> frozenset[
         raise ValueError("chain colours must be distinct")
     if c[start] not in (a, b):
         raise ValueError(f"start vertex {start} is not coloured {a} or {b}")
-    members = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for u in g.neighbors(v):
-                if u not in members and c[u] in (a, b):
-                    members.add(u)
-                    nxt.append(u)
-        frontier = nxt
-    return frozenset(members)
+    within = sum(1 << v for v, col in enumerate(c) if col == a or col == b)
+    return frozenset(_bits(_reach(g._adj, 1 << start, within)))
 
 
 def shortest_path_in_chain(

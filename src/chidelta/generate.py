@@ -60,7 +60,7 @@ from __future__ import annotations
 from collections.abc import Iterator, Sequence
 from functools import lru_cache
 
-from .graph import Graph, _graph, _triangle_rows
+from .graph import Graph, _graph, _reach, _triangle_rows
 
 # A level's codes have n(n - 1)/2 bits, so its array's 64-bit words hold them up to n = 11.
 GENERATION_CAP = 9
@@ -223,14 +223,8 @@ def _components(adj: tuple[int, ...], keep: int) -> list[int]:
     """Vertex masks of the components of the subgraph induced by mask `keep`."""
     out = []
     while keep:
-        reach = frontier = keep & -keep
-        while frontier:
-            low = frontier & -frontier
-            grown = adj[low.bit_length() - 1] & keep & ~reach
-            reach |= grown
-            frontier = frontier ^ low | grown
-        out.append(reach)
-        keep ^= reach
+        out.append(_reach(adj, keep & -keep, keep))
+        keep ^= out[-1]
     return out
 
 

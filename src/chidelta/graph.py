@@ -132,19 +132,25 @@ def graph_from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     return _graph(n, tuple(adj))
 
 
+def _reach(rows: tuple[int, ...], seed: int, within: int) -> int:
+    """Mask of the vertices of mask `within` that a path inside `within`
+    joins to a vertex of mask `seed`, itself inside `within`."""
+    reach = frontier = seed
+    while frontier:  # a breadth-first layer at a time
+        grown = 0
+        while frontier:  # lowest bit first: _bits would scan every byte of a wide mask
+            low = frontier & -frontier
+            grown |= rows[low.bit_length() - 1]
+            frontier ^= low
+        frontier = grown & within & ~reach
+        reach |= frontier
+    return reach
+
+
 def is_connected(g: Graph) -> bool:
     """True iff every vertex is reachable from vertex 0 (vacuous for n <= 1)."""
-    if g.n <= 1:
-        return True
-    seen = 1
-    frontier = 1
-    while frontier:
-        grown = seen
-        for v in _bits(frontier):
-            grown |= g.adjacency_mask(v)
-        frontier = grown & ~seen
-        seen = grown
-    return seen == (1 << g.n) - 1
+    full = (1 << g.n) - 1
+    return g.n <= 1 or _reach(g._adj, 1, full) == full
 
 
 def max_degree(g: Graph) -> int:

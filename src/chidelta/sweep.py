@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import time
 from collections.abc import Iterable
 
@@ -32,6 +31,10 @@ class SweepError(RuntimeError):
         self.line = line
         self.detail = detail
 
+    def __reduce__(self):
+        # a pool worker's failure is pickled back to the parent as itself
+        return SweepError, (self.line, self.detail)
+
 
 class OrderTally:
     """What the sweep found at one order."""
@@ -48,16 +51,11 @@ class OrderTally:
         self.seconds = 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "graphs": self.graphs,
-            "cohort": self.cohort,
+        """The attributes in the order `__init__` sets them, each kind count
+        dict sorted by kind."""
+        return vars(self) | {
             "proof_kinds": dict(sorted(self.proof_kinds.items())),
             "oracle_kinds": dict(sorted(self.oracle_kinds.items())),
-            "kind_mismatches": self.kind_mismatches,
-            "verification_failures": self.verification_failures,
-            "exceptional": self.exceptional,
-            "seconds": self.seconds,
         }
 
 
@@ -115,9 +113,6 @@ class SweepReport:
             "orders": [o.to_dict() for o in self.orders],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
-
     def to_text(self) -> str:
         def fmt(kinds: dict[str, int]) -> str:
             return ",".join(f"{k}:{v}" for k, v in sorted(kinds.items())) or "-"
@@ -155,56 +150,57 @@ def _in_cohort(g: Graph) -> bool:
     return chromatic_number(g) == delta
 
 
-def _check(item: Graph | str, method: str, rec: dict) -> str | None:
-    """Run the per-graph work on a generated graph or a corpus line, filling
-    `rec`; returns the failure, if any."""
+def _line(item: Graph | str) -> str:
+    """The graph6 line that names a failed item: a corpus line as given, a
+    generated graph encoded in canonical form."""
+    return item if isinstance(item, str) else encode_graph6(canonical_form(item))
+
+
+def _kinds(item: Graph | str, method: str) -> tuple[str | None, str | None] | None:
+    """The proof and oracle certificate kinds of a generated graph or a corpus
+    line in the cohort, None for a route not run; None outside the cohort.
+
+    A failed check raises SweepError, which names the item's line.
+    """
     if isinstance(item, str):
         g = decode_graph6(item)
         if encode_graph6(g) != item:
-            return "graph6 round trip mismatch"
+            raise SweepError(item, "graph6 round trip mismatch")
     else:
         g = item
     if not is_connected(g):
-        return "graph is disconnected"
+        raise SweepError(_line(item), "graph is disconnected")
     if not _in_cohort(g):
         return None
-    rec["cohort"] = True
     if not isinstance(item, str):
         g = canonical_form(g)  # the routes see the class representative, however it came
+    proof_kind = oracle_kind = None
     if method in ("proof", "both"):
         # find_witness verifies its own certificate and raises ContractError
-        rec["proof_kind"] = certificate_kind(find_witness(g))
+        proof_kind = certificate_kind(find_witness(g))
     if method in ("oracle", "both"):
         cert = oracle_witness(g)
         if cert is None:
-            return "oracle found no certificate for a chi=delta graph"
+            raise SweepError(_line(item), "oracle found no certificate for a chi=delta graph")
         verdict = verify_certificate(g, cert)
         if not verdict:
-            return f"oracle certificate rejected: {verdict.reason}"
-        rec["oracle_kind"] = certificate_kind(cert)
-    return None
+            raise SweepError(_line(item), f"oracle certificate rejected: {verdict.reason}")
+        oracle_kind = certificate_kind(cert)
+    return proof_kind, oracle_kind
 
 
-def _sweep_task(args: tuple[Graph | str, str]) -> dict:
+def _sweep_task(args: tuple[Graph | str, str]) -> tuple[str | None, str | None] | None:
+    """`_kinds` of one item; any failure is raised as the SweepError naming its line."""
     item, method = args
-    rec: dict = {
-        "line": None,
-        "cohort": False,
-        "proof_kind": None,
-        "oracle_kind": None,
-        "error": None,
-    }
     try:
-        rec["error"] = _check(item, method, rec)
+        return _kinds(item, method)
+    except SweepError:
+        raise
     except ContractError as exc:
-        rec["error"] = f"contract error: {exc}"
+        raise SweepError(_line(item), f"contract error: {exc}") from exc
     except Exception as exc:
         # any other failure still names its graph6 line, in the pool or not
-        rec["error"] = f"internal error: {type(exc).__name__}: {exc}"
-    if rec["error"] is not None:
-        # a generated graph gets its graph6 line, canonical, only when it fails
-        rec["line"] = item if isinstance(item, str) else encode_graph6(canonical_form(item))
-    return rec
+        raise SweepError(_line(item), f"internal error: {type(exc).__name__}: {exc}") from exc
 
 
 def _corpus_by_order(corpus: Iterable[str]) -> dict[int, list[str]]:
@@ -246,8 +242,13 @@ def theorem_sweep(
     (`multiprocessing` is imported only then, so a serial sweep never
     loads it) and results are merged in generation order, so reports for
     different worker counts differ only in `jobs` and each order's
-    `seconds`.  The first verification failure, or any other exception in
-    the per-graph work, aborts with the offending graph6 line.
+    `seconds`.  A task returns its graph's (proof kind, oracle kind), None
+    for a route not run, or None for a graph outside the cohort.  The first
+    verification failure, or any other exception in the per-graph work,
+    is raised by its task as the SweepError naming the offending graph6
+    line; a pool re-raises it here, pickled back as itself, and the sweep
+    aborts.  A worker that dies instead of raising is not detected: the
+    pool waits for its result forever.
     Generated graphs reach their task as graphs (pickled when jobs > 1).
     The top order is generated labelled as built, without canonical codes;
     the lower ones are canonical, as their codes are built anyway as parents
@@ -285,14 +286,12 @@ def theorem_sweep(
                 items = by_order.get(n, ())
             tasks = ((item, method) for item in items)
             results = pool.imap(_sweep_task, tasks, chunksize=32) if pool else map(_sweep_task, tasks)
-            for rec in results:
+            for kinds in results:
                 tally.graphs += 1
-                if rec["error"] is not None:
-                    raise SweepError(rec["line"], rec["error"])
-                if not rec["cohort"]:
+                if kinds is None:
                     continue
                 tally.cohort += 1
-                pk, ok = rec["proof_kind"], rec["oracle_kind"]
+                pk, ok = kinds
                 if pk is not None:
                     tally.proof_kinds[pk] = tally.proof_kinds.get(pk, 0) + 1
                 if ok is not None:

@@ -321,14 +321,6 @@ def squared_cycle_hole(n: int) -> tuple[int, ...]:
     return tuple(seq)
 
 
-def _shortest_odd_hole(g: Graph) -> tuple[int, ...] | None:
-    best: tuple[int, ...] | None = None
-    for cycle in odd_holes(g, 2):
-        if best is None or len(cycle) < len(best):
-            best = cycle
-    return best
-
-
 def _lift(
     cert: CliqueWitness | HighOddHoleWitness, new_to_old: list[int]
 ) -> CliqueWitness | HighOddHoleWitness:
@@ -413,7 +405,7 @@ def _derive_witness(g: Graph) -> Certificate:
         triangle = find_clique(g, 3)
         if triangle is not None:
             return CliqueWitness(triangle)
-        cycle = _shortest_odd_hole(g)
+        cycle = min(odd_holes(g, 2), key=len, default=None)  # the first shortest
         if cycle is None:
             raise ContractError("triangle-free 3-chromatic graph has no odd cycle")
         return HighOddHoleWitness(cycle)

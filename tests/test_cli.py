@@ -285,6 +285,10 @@ def test_sweep_small(capsys, tmp_path):
     report = json.loads(out_json.read_text())
     assert report["ok"] is True
     assert [o["graphs"] for o in report["orders"]] == [1, 1, 2, 6, 21]
+    # the keys come in the order of the pinned report, at the top and per order
+    pinned = json.loads((SRC.parent / "tests" / "data" / "sweep9_report.json").read_text())
+    assert list(report) == list(pinned)
+    assert all(list(o) == list(pinned["orders"][0]) for o in report["orders"])
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])

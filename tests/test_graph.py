@@ -297,6 +297,10 @@ def test_is_connected_examples():
     assert not is_connected(graph_from_edges(4, [(0, 1), (2, 3)]))
     assert is_connected(cycle_power(10, 2))
     assert is_connected(graph_from_edges(1, []))
+    # masks many bytes wide: a 600-vertex path, whole and cut in the middle
+    path = [(i, i + 1) for i in range(599)]
+    assert is_connected(graph_from_edges(600, path))
+    assert not is_connected(graph_from_edges(600, path[:300] + path[301:]))
 
 
 @settings(max_examples=150, deadline=None)

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import multiprocessing.pool
+import pickle
 import random
 import re
 import time
@@ -836,6 +837,15 @@ def test_sweep_failure_terminates_pool(monkeypatch):
         theorem_sweep(3, "both", min_n=3, jobs=2, corpus=[line])
     assert err.value.line == line and err.value.detail == "graph is disconnected"
     assert len(terminated) == 1
+
+
+def test_sweep_error_pickles_as_itself():
+    # a pool re-raises a task's SweepError in the sweep process; an error that
+    # did not unpickle would kill the pool's result thread and hang the sweep
+    err = SweepError("A?", "graph is disconnected")
+    back = pickle.loads(pickle.dumps(err))
+    assert type(back) is SweepError
+    assert (back.line, back.detail, str(back)) == (err.line, err.detail, str(err))
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
